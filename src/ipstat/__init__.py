@@ -28,7 +28,6 @@ from .model import (
     ArraySource,
     FileSource,
     IPv4Address,
-    Prefix24,
     RecordStream,
     SingleUseSource,
     format_dotted,
@@ -65,7 +64,6 @@ __all__ = [
     "MalformedAddress",
     "OctetOutOfRange",
     "PartitionPlan",
-    "Prefix24",
     "RecordStream",
     "SingleUseSource",
     "SourceNotReplayable",

@@ -4,9 +4,12 @@
   keyed by the 32-bit address). Simple and exact, but both time and
   memory ride on the hash table's churn as distinct addresses grow.
 * IpMapCounter — direct-mapped counting: one 2**24-slot uint64 block per
-  distinct first octet, all kept live at once. Lookups are pure indexing,
-  but memory is 134,217,728 bytes per distinct first octet, which is what
-  makes it a foil for the subset-scan counter that reuses a single block.
+  distinct first octet, all kept live at once. A batch is aggregated once
+  (``model.aggregate``); its ascending distinct addresses are cut at
+  first-octet boundaries and each slice is scattered into its own block.
+  Lookups are pure indexing, but memory is 134,217,728 bytes per distinct
+  first octet, which is what makes it a foil for the subset-scan counter
+  that reuses a single block.
 
 Both expose the same ingest/count/top_k/stats surface as the memory-block
 counters so the benchmark driver can treat every method alike.
@@ -20,7 +23,7 @@ from collections import Counter
 import numpy as np
 
 from .errors import AllocationFailure
-from .model import IPv4Address, from_u32, to_u32
+from .model import IPv4Address, aggregate, checked_add, from_u32, to_u32
 from .topk import HeapEntry, TopKHeap, merge_top_k
 
 BLOCK_SLOTS = 1 << 24
@@ -87,20 +90,23 @@ class IpMapCounter:
         return block
 
     def ingest(self, address: IPv4Address) -> None:
-        value = to_u32(address)
-        self._block(value >> 24)[value & 0xFFFFFF] += 1
-        self._records += 1
+        self.ingest_many(np.array([to_u32(address)], dtype=np.uint32))
 
     def ingest_many(self, batch: np.ndarray) -> None:
-        batch = np.asarray(batch, dtype=np.uint32)
-        if batch.size == 0:
+        values, counts = aggregate(batch)
+        if values.size == 0:
             return
-        highs = batch >> np.uint32(24)
-        for octet in np.unique(highs).tolist():
-            subset = batch[highs == octet] & np.uint32(0xFFFFFF)
-            slots, counts = np.unique(subset, return_counts=True)
-            self._block(octet)[slots.astype(np.int64)] += counts.astype(np.uint64)
-        self._records += batch.size
+        highs = values >> np.uint32(24)
+        bounds = [0, *(np.flatnonzero(np.diff(highs)) + 1).tolist(), values.size]
+        parts = []
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            slots = (values[lo:hi] & np.uint32(0xFFFFFF)).astype(np.int64)
+            parts.append((self._block(int(highs[lo])), slots, counts[lo:hi]))
+        # every slice is checked before any is written
+        sums = [checked_add(block[slots], part) for block, slots, part in parts]
+        for (block, slots, _), total in zip(parts, sums):
+            block[slots] = total
+        self._records += int(counts.sum())
 
     def count(self, address: IPv4Address) -> int:
         value = to_u32(address)

@@ -9,8 +9,9 @@ compare end-to-end cost including the multi-pass methods' replays and
 zero-fills, not warm caches of a pre-parsed file.
 
 Before any repetition of a cell is timed, its answer is checked against
-the ground-truth sidecar; a wrong answer aborts the run rather than
-producing a timing for it. Rows report two memory figures:
+the ground-truth sidecar, and so is the answer of every timed repetition
+(outside the timer); a wrong answer aborts the run rather than producing
+a timing for it. Rows report two memory figures:
 ``tracked_bytes`` is the method's own exact accounting (handle tables,
 count blocks, hash table), ``os_peak_bytes`` is the process peak RSS,
 which only grows within a process and is informational.
@@ -67,15 +68,10 @@ def run_method(path, method: str, k: int, workers: int = 1, fmt: str = "auto") -
     return runners[method](source, k)
 
 
-def expected_top_k(truth: list[tuple[int, int]], k: int) -> list[tuple[int, int]]:
-    """The true top-k as (address u32, count), from a sorted truth list."""
-    return truth[:k]
-
-
 def validate_entries(entries: list[HeapEntry], truth: list[tuple[int, int]], k: int, label: str) -> None:
     """Raise ValidationFailure unless entries equal the true top-k exactly."""
     got = [(to_u32(e.address), e.count) for e in entries]
-    want = expected_top_k(truth, k)
+    want = truth[:k]
     if got != want:
         for position, (g, w) in enumerate(zip(got, want), start=1):
             if g != w:
@@ -93,7 +89,7 @@ def run_bench(
     warmup: int = 0,
     fmt: str = "auto",
 ) -> list[BenchRow]:
-    """Benchmark every (method, k) cell; answers are validated before timing."""
+    """Benchmark every (method, k) cell; the first and every timed answer are validated."""
     if reps < 1:
         raise ValueError(f"reps must be at least 1, got {reps}")
     truth = load_truth(truth_path)
@@ -110,6 +106,7 @@ def run_bench(
                 started = time.perf_counter()
                 entries, stats = run_method(input_path, method, k, workers, fmt)
                 times.append(time.perf_counter() - started)
+                validate_entries(entries, truth, k, label)
             rows.append(
                 BenchRow(
                     method=method,

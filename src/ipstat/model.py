@@ -20,13 +20,13 @@ exact error positions. Both paths produce identical addresses.
 
 from __future__ import annotations
 
-import io
 from typing import BinaryIO, Iterator, NamedTuple
 
 import numpy as np
 
 from .errors import (
     BinaryFormatError,
+    CountOverflow,
     MalformedAddress,
     OctetOutOfRange,
     SourceNotReplayable,
@@ -38,6 +38,8 @@ BINARY_MAGIC = b"IPR1"
 # many records a binary/array batch carries.
 TEXT_CHUNK_BYTES = 8 << 20
 BATCH_RECORDS = 1 << 20
+
+_MAX_COUNT = np.uint64(np.iinfo(np.uint64).max)
 
 _LF = 0x0A
 _CR = 0x0D
@@ -57,14 +59,6 @@ class IPv4Address(NamedTuple):
         return f"{self.a}.{self.b}.{self.c}.{self.d}"
 
 
-class Prefix24(NamedTuple):
-    """The first three octets of an address (one /24 network)."""
-
-    a: int
-    b: int
-    c: int
-
-
 def to_u32(addr: IPv4Address) -> int:
     """Canonical 32-bit integer form; monotone in octet order."""
     return (addr.a << 24) | (addr.b << 16) | (addr.c << 8) | addr.d
@@ -77,10 +71,6 @@ def from_u32(value: int) -> IPv4Address:
 def format_dotted(addr: IPv4Address) -> str:
     """Canonical text form, no zero padding."""
     return str(addr)
-
-
-def prefix24(addr: IPv4Address) -> Prefix24:
-    return Prefix24(addr.a, addr.b, addr.c)
 
 
 def parse_dotted(text: str) -> IPv4Address:
@@ -178,6 +168,27 @@ def stream_from_array(values: np.ndarray, batch_records: int = BATCH_RECORDS) ->
     return RecordStream(arr[i : i + batch_records] for i in range(0, max(arr.size, 1), batch_records))
 
 
+def aggregate(batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct values of a uint32 batch, ascending, with uint64 multiplicities.
+
+    Every block counter ingests through this: it touches its own count
+    slots once per distinct address rather than once per record.
+    """
+    values, counts = np.unique(np.asarray(batch, dtype=np.uint32), return_counts=True)
+    return values, counts.astype(np.uint64)
+
+
+def checked_add(current: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Sum of gathered uint64 slot values and their increments.
+
+    Raises CountOverflow instead of wrapping. Callers add before they
+    write, so a batch that would overflow leaves every slot untouched.
+    """
+    if (current > _MAX_COUNT - counts).any():
+        raise CountOverflow("an address count would exceed the 64-bit range")
+    return current + counts
+
+
 def _binary_batches(handle: BinaryIO, lenient: bool, batch_records: int) -> Iterator[np.ndarray]:
     with handle:
         header = handle.read(8)
@@ -237,8 +248,11 @@ def _parse_text_block(block: bytes, line_base: int, lenient: bool, stream: Recor
     hist = np.bincount(raw, minlength=256)
     lines = int(hist[_LF])
     if hist[_CR]:
-        raw = raw[raw != _CR]
-        hist[_CR] = 0
+        # only a CR ending its line is dropped; a stray one sends the block
+        # to the per-line parser, which rejects it wherever it sits
+        crlf = np.flatnonzero((raw[:-1] == _CR) & (raw[1:] == _LF))
+        raw = np.delete(raw, crlf)
+        hist[_CR] -= crlf.size
     allowed = int(hist[_LF] + hist[_DOT] + hist[_DIGIT0 : _DIGIT0 + 10].sum())
     if allowed == int(hist.sum()):
         arr = _parse_pure_block(raw, line_base, lenient, stream)

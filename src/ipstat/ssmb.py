@@ -21,6 +21,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .errors import SourceNotReplayable
+from .model import aggregate, checked_add
 from .topk import HeapEntry, TopKHeap
 
 BLOCK_SLOTS = 1 << 24
@@ -108,8 +109,9 @@ class SsmbCounter:
             subset = batch[(batch >> np.uint32(24)) == high]
             if subset.size == 0:
                 continue
-            slots, counts = np.unique(subset & np.uint32(0xFFFFFF), return_counts=True)
-            block[slots.astype(np.int64)] += counts.astype(np.uint64)
+            slots, counts = aggregate(subset & np.uint32(0xFFFFFF))
+            slots = slots.astype(np.int64)
+            block[slots] = checked_add(block[slots], counts)
             pass_records += subset.size
         self._records += pass_records
         self._passes += 1

@@ -20,23 +20,25 @@ prefixes seen, not the number of records.
 the first-octet range, shrinking the handle table proportionally; the
 parallel scheme runs one narrowed counter per partition.
 
-Blocks are stored as rows of one growing pool array so batched ingest can
-aggregate a whole batch with a single sort-and-add over flat slot indices.
+Blocks are stored as rows of one growing pool array. Batched ingest
+aggregates first: ``model.aggregate`` reduces a batch to its distinct
+addresses and their multiplicities, and only those touch the handle table
+and the pool, in one gather-check-scatter over flat slot indices. The
+distinct addresses come out ascending, so new prefixes get their blocks in
+ascending prefix order within a batch.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import CounterFinalized, CountOverflow
-from .model import IPv4Address, from_u32, to_u32
+from .errors import CounterFinalized
+from .model import IPv4Address, aggregate, checked_add, to_u32
 from .topk import HeapEntry, TopKHeap
 
 BLOCK_SLOTS = 256
 BLOCK_BYTES = BLOCK_SLOTS * 8
-HANDLE_BYTES = 8
 
-_MAX_COUNT = np.iinfo(np.uint64).max
 _POOL_SEED_BLOCKS = 1024
 _SWEEP_BLOCKS = 8192
 
@@ -71,48 +73,37 @@ class TlmbCounter:
     # -- ingest ---------------------------------------------------------
 
     def ingest(self, address: IPv4Address) -> None:
-        """Count one address."""
-        self._check_open()
-        value = to_u32(address)
-        local = (value >> 8) - self._base_prefix
-        if not 0 <= local < self._handles.size:
-            raise ValueError(f"{address} is outside this counter's first-octet range")
-        handle = int(self._handles[local])
-        if handle == 0:
-            handle = self._allocate([local])
-        ordinal = handle - 1
-        slot = int(self._pool[ordinal, value & 0xFF])
-        if slot >= _MAX_COUNT:
-            raise CountOverflow(f"count for {address} exceeds 64-bit range")
-        self._pool[ordinal, value & 0xFF] = slot + 1
-        self._records += 1
+        """Count one address, as a one-record batch."""
+        self.ingest_many(np.array([to_u32(address)], dtype=np.uint32))
 
     def ingest_many(self, batch: np.ndarray) -> None:
         """Count a uint32 address batch in bulk."""
         self._check_open()
-        batch = np.asarray(batch, dtype=np.uint32)
-        if batch.size == 0:
+        values, counts = aggregate(batch)
+        if values.size == 0:
             return
-        local = (batch >> np.uint32(8)).astype(np.int64) - self._base_prefix
-        if self._span != 256 and (int(local.min()) < 0 or int(local.max()) >= self._handles.size):
+        local = (values >> np.uint32(8)).astype(np.int64) - self._base_prefix
+        if local[0] < 0 or local[-1] >= self._handles.size:
             raise ValueError("batch contains addresses outside this counter's first-octet range")
         handles = self._handles[local]
         fresh = handles == 0
         if fresh.any():
-            self._allocate(np.unique(local[fresh]))
+            # local is ascending, so the new prefixes are the starts of its fresh runs
+            runs = local[fresh]
+            self._allocate(runs[np.diff(runs, prepend=-1) != 0])
             handles = self._handles[local]
-        flat = (handles - 1).astype(np.int64) * BLOCK_SLOTS + (batch & np.uint32(0xFF))
-        slots, counts = np.unique(flat, return_counts=True)
+        slots = (handles - 1).astype(np.int64) * BLOCK_SLOTS + (values & np.uint32(0xFF))
         pool_flat = self._pool.reshape(-1)
-        pool_flat[slots] += counts.astype(np.uint64)
-        self._records += batch.size
+        pool_flat[slots] = checked_add(pool_flat[slots], counts)
+        self._records += int(counts.sum())
 
-    def _allocate(self, locals_) -> int:
-        """Assign block ordinals to new prefixes; returns the last handle."""
-        fresh = np.asarray(locals_, dtype=np.int64)
+    def _allocate(self, fresh: np.ndarray) -> None:
+        """Assign block ordinals to new prefixes (ascending int64 handle slots)."""
         needed = self._allocated + fresh.size
         if needed > self._pool.shape[0]:
-            capacity = max(needed, 2 * self._pool.shape[0])
+            # a batch's fresh prefixes arrive at once, so the first batch takes most
+            # blocks; twice that leaves later stragglers room without another copy
+            capacity = 2 * needed
             pool = np.zeros((capacity, BLOCK_SLOTS), dtype=np.uint64)
             pool[: self._allocated] = self._pool[: self._allocated]
             self._pool = pool
@@ -123,7 +114,6 @@ class TlmbCounter:
         self._handles[fresh] = ordinals + 1
         self._prefixes[self._allocated : needed] = (fresh + self._base_prefix).astype(np.uint32)
         self._allocated = needed
-        return needed
 
     # -- queries --------------------------------------------------------
 
@@ -159,14 +149,6 @@ class TlmbCounter:
             addresses = (prefixes << np.uint32(8)) | (hits & 0xFF).astype(np.uint32)
             heap.offer_many(addresses, chunk.reshape(-1)[hits])
         return heap.drain_sorted()
-
-    def items(self):
-        """Yield every (address, count) pair with a non-zero count."""
-        for ordinal in range(self._allocated):
-            block = self._pool[ordinal]
-            base = int(self._prefixes[ordinal]) << 8
-            for d in np.flatnonzero(block).tolist():
-                yield from_u32(base | d), int(block[d])
 
     def stats(self) -> dict:
         first_layer = self._handles.nbytes

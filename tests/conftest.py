@@ -12,6 +12,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from ipstat import to_u32
 
@@ -47,6 +48,11 @@ def random_addresses(rng: np.random.Generator, n: int, first_octet_cap: int = 25
     """n random addresses (with repeats) under a first-octet cap."""
     space = first_octet_cap << 24
     return rng.integers(0, space, size=n, dtype=np.uint64).astype(np.uint32)
+
+
+def property_settings(max_examples: int) -> settings:
+    """Hypothesis settings that replay the same bounded example set every run."""
+    return settings(max_examples=max_examples, derandomize=True, database=None, deadline=None)
 
 
 @pytest.fixture

@@ -7,6 +7,7 @@ import pytest
 
 from conftest import as_pairs, oracle_top_k
 from ipstat import DatasetSpec, ValidationFailure, generate, load_truth, run_bench, run_method, write_csv
+from ipstat import bench
 from ipstat.bench import validate_entries
 
 
@@ -54,6 +55,20 @@ class TestValidation:
         doctored[2] = (doctored[2][0], doctored[2][1] + 1)
         with pytest.raises(ValidationFailure, match="rank 3"):
             validate_entries(entries, doctored, 5, "tlmb k=5")
+
+    def test_bench_validates_every_timed_repetition(self, dataset, monkeypatch):
+        path, truth_path = dataset
+        calls = []
+
+        def wrong_on_second_call(*args, **kwargs):
+            entries, stats = run_method(*args, **kwargs)
+            calls.append(1)
+            return (entries[::-1] if len(calls) == 2 else entries), stats
+
+        monkeypatch.setattr(bench, "run_method", wrong_on_second_call)
+        with pytest.raises(ValidationFailure):
+            run_bench(path, truth_path, ["tlmb"], [5], reps=3)
+        assert len(calls) == 2
 
     def test_bench_aborts_on_wrong_truth(self, dataset, tmp_path):
         path, _ = dataset

@@ -1,9 +1,14 @@
 """Addresses, text/binary record files, and stream sources."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from conftest import random_addresses
+from conftest import property_settings, random_addresses
+from ipstat import model
 from ipstat import (
     ArraySource,
     BinaryFormatError,
@@ -135,6 +140,92 @@ class TestTextFormat:
         list(stream.batches())
         with pytest.raises(RuntimeError):
             list(stream.batches())
+
+
+def per_line_reference(data: bytes, lenient: bool):
+    """Decode record bytes one line at a time with parse_dotted.
+
+    Returns (addresses, malformed_skipped), or raises like the strict decoder:
+    the first malformed line's error type, with its line number.
+    """
+    out, skipped = [], 0
+    for number, raw in enumerate(data.split(b"\n"), start=1):
+        line = raw.decode("utf-8", errors="replace").strip()
+        if not line:
+            continue
+        try:
+            out.append(to_u32(parse_dotted(line)))
+        except MalformedAddress as exc:
+            if not lenient:
+                raise type(exc)(exc.args[0], line_number=number) from None
+            skipped += 1
+    return out, skipped
+
+
+def decode_outcome(decode):
+    try:
+        return "ok", decode()
+    except MalformedAddress as exc:
+        return type(exc), exc.line_number
+
+
+def _with_cr(line: str, cr: str, at: int) -> str:
+    return line[:at] + cr + line[at:]
+
+
+def _join_lines(lines: list[str], eols: list[str], final_eol: bool) -> bytes:
+    text = "".join(line + eol for line, eol in zip(lines, eols))
+    return (text if final_eol else text[:-1]).encode()
+
+
+# dotted quads (leading zeros, parts above 255, a stray CR somewhere), junk, blanks
+_part = st.text("0123456789", min_size=1, max_size=4)
+_dotted = st.builds(
+    _with_cr,
+    st.lists(_part, min_size=4, max_size=4).map(".".join),
+    st.sampled_from(["", "", "", "\r"]),
+    st.integers(0, 16),
+)
+_line = st.one_of(_dotted, _dotted, _dotted, st.text("0123456789.\r x", max_size=12), st.just(""))
+RECORD_BYTES = st.builds(
+    _join_lines,
+    st.lists(_line, min_size=1, max_size=12),
+    st.lists(st.sampled_from(["\n", "\n", "\r\n"]), min_size=12, max_size=12),
+    st.booleans(),
+)
+
+
+class TestDecoderDifferential:
+    """Whether a record is accepted depends on its own bytes only."""
+
+    @pytest.fixture(scope="class")
+    def path(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("differential") / "records.txt"
+
+    @property_settings(300)
+    @given(RECORD_BYTES, st.sampled_from([3, 8, 17, 64, 8 << 20]), st.booleans())
+    @example(b"1.2\r.3.4\n", 8 << 20, False)
+    @example(b"1.2\r.3.4\nbad\n", 8 << 20, False)
+    @example(b"1.2\r.3.4\n5.6.7.8\r\n", 8 << 20, True)
+    @example(b"001.02.3.255\r\n1.2.3.4", 5, False)
+    def test_vectorized_matches_per_line(self, path, data, chunk_bytes, lenient):
+        path.write_bytes(data)
+
+        def decode():
+            stream = open_stream(path, fmt="text", lenient=lenient)
+            return stream.read_all().tolist(), stream.malformed_skipped
+
+        with mock.patch.object(model, "TEXT_CHUNK_BYTES", chunk_bytes):
+            got = decode_outcome(decode)
+        assert got == decode_outcome(lambda: per_line_reference(data, lenient))
+
+    def test_stray_cr_rejected_alone_and_beside_a_malformed_line(self, tmp_path):
+        for data in (b"1.2\r.3.4\n", b"1.2\r.3.4\nbad\n"):
+            path = tmp_path / "stray.txt"
+            path.write_bytes(data)
+            with pytest.raises(MalformedAddress) as caught:
+                open_stream(path).read_all()
+            assert caught.value.line_number == 1
 
 
 class TestBinaryFormat:
