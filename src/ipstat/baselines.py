@@ -2,7 +2,9 @@
 
 * HashCounter — a plain hash-map frequency table (collections.Counter
   keyed by the 32-bit address). Simple and exact, but both time and
-  memory ride on the hash table's churn as distinct addresses grow.
+  memory ride on the hash table's churn as distinct addresses grow. Its
+  ``tracked_bytes`` is ``sys.getsizeof`` of the table alone, a lower
+  bound: the key and count objects it points to are not counted.
 * IpMapCounter — direct-mapped counting: one 2**24-slot uint64 block per
   distinct first octet, all kept live at once. A batch is aggregated once
   (``model.aggregate``); its ascending distinct addresses are cut at
@@ -23,7 +25,7 @@ from collections import Counter
 import numpy as np
 
 from .errors import AllocationFailure
-from .model import IPv4Address, aggregate, checked_add, from_u32, to_u32
+from .model import IPv4Address, aggregate, checked_add, from_u32, octet_runs, to_u32
 from .topk import HeapEntry, TopKHeap, merge_top_k
 
 BLOCK_SLOTS = 1 << 24
@@ -65,6 +67,7 @@ class HashCounter:
         return {
             "records_ingested": self._records,
             "distinct_addresses": len(self._table),
+            # a lower bound: the table itself, not its key and count objects
             "tracked_bytes": sys.getsizeof(self._table),
         }
 
@@ -96,12 +99,10 @@ class IpMapCounter:
         values, counts = aggregate(batch)
         if values.size == 0:
             return
-        highs = values >> np.uint32(24)
-        bounds = [0, *(np.flatnonzero(np.diff(highs)) + 1).tolist(), values.size]
         parts = []
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
+        for octet, lo, hi in octet_runs(values):
             slots = (values[lo:hi] & np.uint32(0xFFFFFF)).astype(np.int64)
-            parts.append((self._block(int(highs[lo])), slots, counts[lo:hi]))
+            parts.append((self._block(octet), slots, counts[lo:hi]))
         # every slice is checked before any is written
         sums = [checked_add(block[slots], part) for block, slots, part in parts]
         for (block, slots, _), total in zip(parts, sums):

@@ -5,15 +5,18 @@ timed over ``reps`` repetitions and lands as one CSV row carrying the
 total elapsed seconds plus the per-repetition mean and sample standard
 deviation (empty under two repetitions). Every timed repetition is a
 complete query — open the input, count, and extract top-k — so rows
-compare end-to-end cost including the multi-pass methods' replays and
-zero-fills, not warm caches of a pre-parsed file.
+compare end-to-end cost, including ssmb's spill of the decoded input and
+every one of its passes and zero-fills, not warm caches of a pre-parsed
+file.
 
 Before any repetition of a cell is timed, its answer is checked against
 the ground-truth sidecar, and so is the answer of every timed repetition
 (outside the timer); a wrong answer aborts the run rather than producing
 a timing for it. Rows report two memory figures:
-``tracked_bytes`` is the method's own exact accounting (handle tables,
-count blocks, hash table), ``os_peak_bytes`` is the process peak RSS,
+``tracked_bytes`` is the method's own accounting of its counting
+structures (handle tables and count blocks exactly; for the hash table a
+lower bound, the table without its key and count objects; never ssmb's
+on-disk spill), ``os_peak_bytes`` is the process peak RSS,
 which only grows within a process and is informational.
 """
 

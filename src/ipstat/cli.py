@@ -1,7 +1,9 @@
 """Command-line front end: ipstat gen | topk | bench.
 
 Exit codes: 0 success; 1 usage or invalid arguments; 2 input could not be
-read or parsed; 3 a result failed validation against ground truth.
+read or parsed, or a resource ran out (a count block that cannot be
+allocated, a count past 64 bits, a full disk under the ssmb spill); 3 a
+result failed validation against ground truth.
 """
 
 from __future__ import annotations
@@ -12,7 +14,9 @@ import sys
 from .bench import METHODS, run_bench, run_method, write_csv
 from .datagen import DatasetSpec, generate, verify
 from .errors import (
+    AllocationFailure,
     BinaryFormatError,
+    CountOverflow,
     GroundTruthMismatch,
     InvalidPlan,
     InvalidSpec,
@@ -156,7 +160,7 @@ def main(argv=None) -> int:
     except (InvalidSpec, InvalidPlan) as exc:
         print(f"ipstat: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (MalformedAddress, BinaryFormatError) as exc:
+    except (MalformedAddress, BinaryFormatError, AllocationFailure, CountOverflow) as exc:
         print(f"ipstat: error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except OSError as exc:

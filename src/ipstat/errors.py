@@ -38,7 +38,7 @@ class CountOverflow(IpstatError):
 
 
 class SourceNotReplayable(IpstatError):
-    """A multi-pass operation was given a single-use record source."""
+    """A single-use record source was opened a second time."""
 
 
 class AllocationFailure(IpstatError):

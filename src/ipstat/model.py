@@ -178,6 +178,13 @@ def aggregate(batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return values, counts.astype(np.uint64)
 
 
+def octet_runs(values: np.ndarray) -> list[tuple[int, int, int]]:
+    """(first octet, start, stop) of each first-octet run of a non-empty ascending uint32 array."""
+    highs = values >> np.uint32(24)
+    bounds = [0, *(np.flatnonzero(np.diff(highs)) + 1).tolist(), values.size]
+    return [(int(highs[lo]), lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+
 def checked_add(current: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Sum of gathered uint64 slot values and their increments.
 
@@ -318,8 +325,8 @@ def _parse_lines(block: bytes, line_base: int, lenient: bool, stream: RecordStre
 class FileSource:
     """Replayable record source backed by a file path.
 
-    ``open()`` starts a fresh pass and bumps ``replays``; multi-pass
-    counters call it once per subset.
+    ``open()`` starts a fresh pass and bumps ``replays``; every query
+    method, ssmb included, opens its source once.
     """
 
     replayable = True

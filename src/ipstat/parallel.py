@@ -6,10 +6,13 @@ address is counted wholly by one worker and worker results never overlap:
 * tlmb — partition by the leading ``r`` bits of the first octet. Worker w
   owns first octets [w * 256/2**r, (w+1) * 256/2**r) and runs a narrowed
   counter whose handle table is 1/2**r of the full size, so the combined
-  first-layer footprint of all workers equals one full-range counter.
-* ssmb — deal the distinct first octets round-robin over the workers; each
-  worker runs its own subset passes (and its own count block, so memory is
-  one block per worker).
+  first-layer footprint of all workers equals one full-range counter. The
+  input is read once; a batch whose smallest and largest addresses share
+  an owner goes to that worker whole, and only a mixed batch is split.
+* ssmb — the input is decoded once into one ``OctetSpill``, whose first
+  octets are dealt round-robin over the workers; each worker runs its own
+  subset passes over its octets' runs in that shared spill (and has its
+  own count block, so memory is one block per worker).
 
 Each worker reports its local top-k candidates; a coordinator heap merges
 them. An address's global count appears intact in exactly one worker's
@@ -25,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidPlan
-from .ssmb import SsmbCounter, discover_subsets
+from .ssmb import OctetSpill, SsmbCounter, discover_subsets, spilled
 from .tlmb import TlmbCounter
 from .topk import HeapEntry, merge_top_k
 
@@ -72,7 +75,11 @@ class PartitionPlan:
 
     @classmethod
     def for_source(cls, source, method: str, workers: int) -> "PartitionPlan":
-        """Build the natural plan for a method and worker count."""
+        """Build the natural plan for a method and worker count.
+
+        An ssmb plan takes its first octets from ``source`` when it is an
+        ``OctetSpill``, and otherwise lists them with one more pass.
+        """
         if method == "tlmb":
             if workers & (workers - 1) or not 1 <= workers <= 256:
                 raise InvalidPlan(f"tlmb worker count must be a power of two up to 256, got {workers}")
@@ -80,7 +87,7 @@ class PartitionPlan:
         if method == "ssmb":
             if workers < 1:
                 raise InvalidPlan(f"worker count must be at least 1, got {workers}")
-            octets = discover_subsets(source)
+            octets = source.octets if isinstance(source, OctetSpill) else discover_subsets(source)
             return cls.by_first_octets(octets, min(workers, max(len(octets), 1)))
         raise InvalidPlan(f"unknown method {method!r}")
 
@@ -138,12 +145,17 @@ def _run_tlmb(source, plan: PartitionPlan, k: int) -> list[WorkerResult]:
     stream = source.open()
     with ThreadPoolExecutor(max_workers=plan.workers) as pool:
         for batch in stream.batches():
-            ordinals = plan.assign_array(batch)
-            futures = []
-            for w, counter in enumerate(counters):
-                part = batch[ordinals == w] if plan.workers > 1 else batch
-                if part.size:
-                    futures.append(pool.submit(counter.ingest_many, part))
+            if not batch.size:
+                continue
+            # ownership is monotone in the address, so equal owners at both
+            # ends mean the whole batch belongs to one worker
+            first, last = plan.assign(int(batch.min())), plan.assign(int(batch.max()))
+            if first == last:
+                parts = [(first, batch)]
+            else:
+                ordinals = plan.assign_array(batch)
+                parts = [(w, batch[ordinals == w]) for w in range(first, last + 1)]
+            futures = [pool.submit(counters[w].ingest_many, part) for w, part in parts if part.size]
             for future in futures:
                 future.result()
         tops = [pool.submit(counter.top_k, k) for counter in counters]
@@ -154,18 +166,26 @@ def _run_tlmb(source, plan: PartitionPlan, k: int) -> list[WorkerResult]:
 
 
 def _run_ssmb(source, plan: PartitionPlan, k: int) -> list[WorkerResult]:
-    def work(ordinal: int) -> WorkerResult:
+    def work(spill: OctetSpill, ordinal: int) -> WorkerResult:
         octets = plan.worker_octets(ordinal)
         counter = SsmbCounter()
-        candidates = counter.top_k(source, k, octets=octets) if octets else []
+        candidates = counter.top_k(spill, k, octets=octets) if octets else []
         return WorkerResult(ordinal, candidates, counter.stats())
 
-    with ThreadPoolExecutor(max_workers=plan.workers) as pool:
-        return list(pool.map(work, range(plan.workers)))
+    # the pool joins its workers before the spill they share is closed
+    with spilled(source) as spill, ThreadPoolExecutor(max_workers=plan.workers) as pool:
+        return list(pool.map(work, [spill] * plan.workers, range(plan.workers)))
 
 
 def parallel_top_k(source, method: str, k: int, workers: int) -> tuple[list[HeapEntry], list[WorkerResult]]:
-    """Plan and run a partitioned top-k in one call."""
+    """Plan and run a partitioned top-k in one call.
+
+    For ssmb the source is decoded once into a spill; the plan and every
+    worker read that one spill.
+    """
+    if method == "ssmb":
+        with spilled(source) as spill:
+            return run_parallel(spill, PartitionPlan.for_source(spill, method, workers), k)
     return run_parallel(source, PartitionPlan.for_source(source, method, workers), k)
 
 

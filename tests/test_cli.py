@@ -1,10 +1,13 @@
 """Command-line surface: subcommands, output bytes, exit codes."""
 
+import errno
 import subprocess
 import sys
+import tempfile
 
 import pytest
 
+from ipstat import AllocationFailure, CountOverflow, IpMapCounter, TlmbCounter
 from ipstat.cli import main
 
 
@@ -104,6 +107,48 @@ class TestTopk:
     def test_non_power_of_two_tlmb_workers_exit_1(self, small_file):
         assert run_cli("topk", "--method", "tlmb", "--k", "1", "--input", str(small_file),
                        "--workers", "3") == 1
+
+    @pytest.mark.parametrize(
+        "method, counter, error",
+        [
+            ("ipmap", IpMapCounter, AllocationFailure("could not allocate count block 1")),
+            ("tlmb", TlmbCounter, CountOverflow("an address count would exceed the 64-bit range")),
+        ],
+    )
+    def test_resource_failure_exits_2(self, small_file, capsys, monkeypatch, method, counter, error):
+        def fail(self, batch):
+            raise error
+
+        monkeypatch.setattr(counter, "ingest_many", fail)
+        assert run_cli("topk", "--method", method, "--k", "1", "--input", str(small_file)) == 2
+        assert capsys.readouterr().err == f"ipstat: error: {error}\n"
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_full_spill_disk_exits_2(self, tmp_path, capsys, monkeypatch, workers):
+        data = tmp_path / "two_octets.txt"
+        data.write_text("1.0.0.1\n2.0.0.2\n")
+        opened = []
+        make = tempfile.TemporaryFile
+
+        class FullDisk:
+            def __init__(self, handle):
+                self.handle = handle
+
+            def write(self, data):
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+            def __getattr__(self, name):
+                return getattr(self.handle, name)
+
+        def full(*args, **kwargs):
+            opened.append(FullDisk(make(*args, **kwargs)))
+            return opened[-1]
+
+        monkeypatch.setattr(tempfile, "TemporaryFile", full)
+        code = run_cli("topk", "--method", "ssmb", "--k", "1", "--input", str(data), "--workers", workers)
+        assert code == 2
+        assert capsys.readouterr().err == "ipstat: error: [Errno 28] No space left on device\n"
+        assert len(opened) == 1 and opened[0].closed
 
 
 class TestBench:

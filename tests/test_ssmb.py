@@ -1,22 +1,34 @@
-"""Subset-scan counter: pass structure, zeroing, constant memory."""
+"""Subset-scan counter: pass structure, zeroing, constant memory, the spill."""
+
+import os
+import sys
+import tempfile
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from conftest import as_pairs, oracle_top_k, random_addresses
+import ipstat.model
+from conftest import as_pairs, oracle_top_k, property_settings, random_addresses
 from ipstat import (
     ArraySource,
+    FileSource,
+    MalformedAddress,
     SingleUseSource,
-    SourceNotReplayable,
     SsmbCounter,
     TlmbCounter,
     discover_subsets,
     element_index,
+    from_u32,
     open_stream,
+    parallel_top_k,
     parse_dotted,
     ssmb_top_k,
     to_u32,
 )
+from ipstat.ssmb import RUN, OctetSpill
 
 BLOCK_BYTES = 134_217_728
 
@@ -88,7 +100,7 @@ class TestTopK:
             for k in (1, 10, 100):
                 assert ssmb.top_k(source, k) == tlmb.top_k(k), f"trial {trial} k={k}"
 
-    def test_replay_count_is_q_plus_discovery(self):
+    def test_source_read_once(self):
         rng = np.random.default_rng(402)
         values = random_addresses(rng, 2000, first_octet_cap=5)
         source = ArraySource(values)
@@ -96,9 +108,9 @@ class TestTopK:
         counter.top_k(source, 3)
         q = counter.stats()["q"]
         assert q == np.unique(values >> np.uint32(24)).size
-        assert source.replays == q + 1
+        assert source.replays == 1
 
-    def test_explicit_octets_skip_discovery(self):
+    def test_explicit_octets_read_source_once(self):
         rng = np.random.default_rng(403)
         values = random_addresses(rng, 2000, first_octet_cap=3)
         source = ArraySource(values)
@@ -106,7 +118,7 @@ class TestTopK:
         source.replays = 0
         counter = SsmbCounter()
         entries = counter.top_k(source, 5, octets=octets)
-        assert source.replays == len(octets)
+        assert source.replays == 1
         assert as_pairs(entries) == oracle_top_k(values, 5)
 
     def test_subset_restriction_counts_only_matching(self):
@@ -166,11 +178,14 @@ class TestMemoryAndErrors:
             counter.top_k(ArraySource(random_addresses(rng, n, first_octet_cap=3)), 10)
             assert counter.stats()["tracked_bytes"] == BLOCK_BYTES
 
-    def test_single_use_source_rejected_for_multi_pass(self, tmp_path):
-        path = tmp_path / "two_octets.txt"
-        path.write_text("1.0.0.1\n2.0.0.2\n")
-        with pytest.raises(SourceNotReplayable):
-            SsmbCounter().top_k(SingleUseSource(open_stream(path)), 1)
+    def test_single_use_source_multi_pass(self, tmp_path):
+        values = addresses_of("1.0.0.1", "2.0.0.2", "2.0.0.2", "9.1.1.1", "1.0.0.1", "1.0.0.1")
+        path = tmp_path / "three_octets.txt"
+        path.write_text("".join(f"{from_u32(int(v))}\n" for v in values))
+        counter = SsmbCounter()
+        entries = counter.top_k(SingleUseSource(open_stream(path)), 10)
+        assert as_pairs(entries) == oracle_top_k(values, 10)
+        assert counter.stats()["passes"] == 3
 
     def test_single_use_source_fine_for_single_pass(self, tmp_path):
         path = tmp_path / "one_octet.txt"
@@ -181,3 +196,107 @@ class TestMemoryAndErrors:
     def test_rejects_bad_octets(self):
         with pytest.raises(ValueError):
             SsmbCounter().top_k(ArraySource(np.empty(0, dtype=np.uint32)), 1, octets=[300])
+
+
+# few first octets and low parts, so addresses repeat within and across batches
+_spill_addresses = st.builds(
+    lambda a, low: (a << 24) | low,
+    st.sampled_from([0, 3, 7, 255]),
+    st.one_of(st.integers(0, 40), st.just(0xFFFFFF)),
+)
+
+
+@pytest.fixture(scope="module")
+def shared_counter():
+    # one counter for every example: the shared block is reused across queries by design
+    return SsmbCounter()
+
+
+@property_settings(60)
+@given(
+    records=st.lists(_spill_addresses, max_size=300),
+    batch_records=st.integers(1, 50),
+    octets=st.none() | st.lists(st.sampled_from([0, 1, 3, 7, 128, 255]), max_size=5),
+    k=st.integers(1, 20),
+    prebuilt=st.booleans(),
+)
+def test_spill_backed_top_k_matches_oracle(shared_counter, records, batch_records, octets, k, prebuilt):
+    values = np.array(records, dtype=np.uint32)
+    source = ArraySource(values, batch_records=batch_records)
+    planned = set(records if octets is None else (v for v in records if v >> 24 in octets))
+    planned_records = [v for v in records if v in planned]
+    passes = {}
+
+    def hook(octet, stats):
+        assert stats["slot_sum"] == stats["pass_records"]
+        passes[octet] = stats["pass_records"]
+
+    if prebuilt:
+        with OctetSpill.build(source) as spill:
+            entries = shared_counter.top_k(spill, k, octets=octets, pass_hook=hook)
+    else:
+        entries = shared_counter.top_k(source, k, octets=octets, pass_hook=hook)
+    stats = shared_counter.stats()
+    assert as_pairs(entries) == oracle_top_k(planned_records, k)
+    assert stats["records_ingested"] == len(planned_records)
+    expected_passes = sorted({v >> 24 for v in records}) if octets is None else sorted(set(octets))
+    assert sorted(passes) == expected_passes
+    assert passes == {o: sum(1 for v in planned_records if v >> 24 == o) for o in expected_passes}
+    batches = [records[i : i + batch_records] for i in range(0, len(records), batch_records)]
+    assert stats["spill_bytes"] == RUN.itemsize * sum(len(set(b)) for b in batches)
+    assert stats["tracked_bytes"] == BLOCK_BYTES
+    assert source.replays == 1
+
+
+class TestSpill:
+    def test_runs_filed_by_octet_across_batches(self):
+        values = addresses_of("7.0.0.1", "9.0.0.2", "7.0.0.1", "7.0.0.3", "9.0.0.2")
+        with OctetSpill.build(ArraySource(values, batch_records=2)) as spill:
+            assert spill.octets == [7, 9]
+            runs = {octet: Counter() for octet in spill.octets}
+            for octet in spill.octets:
+                for slots, counts in spill.runs(octet):
+                    assert np.unique(slots).size == slots.size
+                    runs[octet].update(dict(zip(slots.tolist(), counts.tolist())))
+            assert runs == {7: Counter({1: 2, 3: 1}), 9: Counter({2: 2})}
+            assert list(spill.runs(8)) == []
+
+    def test_workers_share_one_spill(self):
+        rng = np.random.default_rng(407)
+        values = random_addresses(rng, 4000, first_octet_cap=6)
+        source = ArraySource(values, batch_records=97)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # interleave the workers' reads of the shared spill
+        try:
+            entries, results = parallel_top_k(source, "ssmb", 10, 3)
+        finally:
+            sys.setswitchinterval(interval)
+        assert as_pairs(entries) == oracle_top_k(values, 10)
+        assert sum(r.stats["records_ingested"] for r in results) == values.size
+        assert source.replays == 1
+        assert len({r.stats["spill_bytes"] for r in results}) == 1
+
+    def test_malformed_later_chunk_closes_spill(self, tmp_path, monkeypatch):
+        data = tmp_path / "bad.txt"
+        data.write_text("1.0.0.1\n2.0.0.2\n" * 50 + "3.0.0.x\n")
+        spill_dir = tmp_path / "spill"
+        spill_dir.mkdir()
+        monkeypatch.setattr(ipstat.model, "TEXT_CHUNK_BYTES", 32)
+        monkeypatch.setenv("TMPDIR", str(spill_dir))
+        monkeypatch.setattr(tempfile, "tempdir", None)
+        opened = []
+        make = tempfile.TemporaryFile
+
+        def spy(*args, **kwargs):
+            opened.append((tempfile.gettempdir(), make(*args, **kwargs)))
+            return opened[-1][1]
+
+        appended = []
+        append = OctetSpill.append
+        monkeypatch.setattr(tempfile, "TemporaryFile", spy)
+        monkeypatch.setattr(OctetSpill, "append", lambda self, batch: appended.append(append(self, batch)))
+        with pytest.raises(MalformedAddress, match="line 101"):
+            SsmbCounter().top_k(FileSource(data), 5)
+        assert len(appended) > 1  # earlier chunks were spilled before the bad one
+        assert [(where, handle.closed) for where, handle in opened] == [(str(spill_dir), True)]
+        assert os.listdir(spill_dir) == []
