@@ -74,37 +74,42 @@ class TestAddressForm:
         assert str(IPv4Address(192, 168, 0, 1)) == "192.168.0.1"
 
 
+def dotted(stream) -> list[str]:
+    """Every address of a stream, in order, as dotted-quad text."""
+    return [str(from_u32(value)) for value in stream.read_all().tolist()]
+
+
 class TestTextFormat:
     def test_small_file(self, tmp_path):
         path = tmp_path / "two.txt"
         path.write_text("1.1.1.1\n2.2.2.2\n")
         stream = open_stream(path)
-        assert [str(a) for a in stream.addresses()] == ["1.1.1.1", "2.2.2.2"]
+        assert dotted(stream) == ["1.1.1.1", "2.2.2.2"]
         assert stream.records_read == 2
 
     def test_crlf_blank_lines_and_tails(self, tmp_path):
         path = tmp_path / "messy.txt"
         path.write_bytes(b"1.2.3.4\r\n\n10.0.0.7 GET /index\r\n\n\n9.8.7.6\n")
-        got = [str(a) for a in open_stream(path).addresses()]
+        got = dotted(open_stream(path))
         assert got == ["1.2.3.4", "10.0.0.7", "9.8.7.6"]
 
     def test_no_trailing_newline(self, tmp_path):
         path = tmp_path / "cut.txt"
         path.write_bytes(b"1.2.3.4\n5.6.7.8")
-        assert [str(a) for a in open_stream(path).addresses()] == ["1.2.3.4", "5.6.7.8"]
+        assert dotted(open_stream(path)) == ["1.2.3.4", "5.6.7.8"]
 
     def test_strict_reports_line_number(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("1.1.1.1\n2.2.2.2\n1.1.1\n3.3.3.3\n")
         with pytest.raises(MalformedAddress) as err:
-            list(open_stream(path).addresses())
+            open_stream(path).read_all()
         assert "line 3" in str(err.value)
 
     def test_strict_short_line_one(self, tmp_path):
         path = tmp_path / "short.txt"
         path.write_text("1.1.1\n")
         with pytest.raises(MalformedAddress) as err:
-            list(open_stream(path).addresses())
+            open_stream(path).read_all()
         assert "line 1" in str(err.value)
 
     def test_strict_octet_out_of_range_in_clean_file(self, tmp_path):
@@ -112,14 +117,14 @@ class TestTextFormat:
         path = tmp_path / "range.txt"
         path.write_text("1.1.1.1\n2.2.2.300\n")
         with pytest.raises(OctetOutOfRange) as err:
-            list(open_stream(path).addresses())
+            open_stream(path).read_all()
         assert "line 2" in str(err.value)
 
     def test_lenient_counts_skips(self, tmp_path):
         path = tmp_path / "mixed.txt"
         path.write_text("1.1.1.1\nnot-an-address\n2.2.2.2\n3.3.3.300\n4.4.4.4\n")
         stream = open_stream(path, lenient=True)
-        got = [str(a) for a in stream.addresses()]
+        got = dotted(stream)
         assert got == ["1.1.1.1", "2.2.2.2", "4.4.4.4"]
         assert stream.malformed_skipped == 2
         assert stream.records_read == 3
@@ -186,36 +191,62 @@ _dotted = st.builds(
     st.sampled_from(["", "", "", "\r"]),
     st.integers(0, 16),
 )
-_line = st.one_of(_dotted, _dotted, _dotted, st.text("0123456789.\r x", max_size=12), st.just(""))
+# four parts of which some may be empty
+_gappy = st.lists(st.text("0123456789", max_size=3), min_size=4, max_size=4).map(".".join)
+_line = st.one_of(_dotted, _dotted, _dotted, _gappy, st.text("0123456789.\r x", max_size=12), st.just(""))
 RECORD_BYTES = st.builds(
     _join_lines,
-    st.lists(_line, min_size=1, max_size=12),
-    st.lists(st.sampled_from(["\n", "\n", "\r\n"]), min_size=12, max_size=12),
+    st.lists(_line, min_size=1, max_size=24),
+    st.lists(st.sampled_from(["\n", "\n", "\r\n"]), min_size=24, max_size=24),
     st.booleans(),
 )
+_PURE = b"1.1.1.1\n22.22.22.22\n"
 
 
 class TestDecoderDifferential:
-    """Whether a record is accepted depends on its own bytes only."""
+    """Whether a record is accepted depends on its own bytes only.
+
+    Chunks and slices shrink to a few bytes, so records straddle chunk
+    reads and every slice path (pure, per-line fallback, range error)
+    meets the others in one file.
+    """
 
     @pytest.fixture(scope="class")
     def path(self, tmp_path_factory):
         return tmp_path_factory.mktemp("differential") / "records.txt"
 
-    @property_settings(300)
-    @given(RECORD_BYTES, st.sampled_from([3, 8, 17, 64, 8 << 20]), st.booleans())
-    @example(b"1.2\r.3.4\n", 8 << 20, False)
-    @example(b"1.2\r.3.4\nbad\n", 8 << 20, False)
-    @example(b"1.2\r.3.4\n5.6.7.8\r\n", 8 << 20, True)
-    @example(b"001.02.3.255\r\n1.2.3.4", 5, False)
-    def test_vectorized_matches_per_line(self, path, data, chunk_bytes, lenient):
+    @property_settings(400)
+    @given(
+        RECORD_BYTES,
+        st.sampled_from([3, 8, 17, 64, 8 << 20]),
+        st.sampled_from([1, 16, 40, 64, 512 << 10]),
+        st.booleans(),
+    )
+    @example(b"1.2\r.3.4\n", 8 << 20, 512 << 10, False)
+    @example(b"1.2\r.3.4\nbad\n", 8 << 20, 512 << 10, False)
+    @example(b"1.2\r.3.4\n5.6.7.8\r\n", 8 << 20, 512 << 10, True)
+    @example(b"001.02.3.255\r\n1.2.3.4", 5, 512 << 10, False)
+    # CRLF ending a slice, then a pure slice
+    @example(b"1.2.3.4\r\n5.6.7.8\r\n" + _PURE, 8 << 20, 9, False)
+    # a per-line slice between pure ones: strict line number, lenient count
+    @example(_PURE + b"bad\n" + _PURE + _PURE, 8 << 20, 16, False)
+    @example(_PURE + b"bad\n" + _PURE + _PURE, 8 << 20, 16, True)
+    # an empty part in an otherwise pure slice
+    @example(_PURE + b"1..2.3\n.1.2.3\n1.2.3.\n" + _PURE, 8 << 20, 512 << 10, True)
+    # a part above 255 in a later pure slice
+    @example(_PURE + _PURE + b"3.3.3.300\n" + _PURE, 8 << 20, 16, False)
+    @example(_PURE + _PURE + b"3.3.3.300\n" + _PURE, 8 << 20, 16, True)
+    def test_vectorized_matches_per_line(self, path, data, chunk_bytes, slice_bytes, lenient):
         path.write_bytes(data)
 
         def decode():
             stream = open_stream(path, fmt="text", lenient=lenient)
             return stream.read_all().tolist(), stream.malformed_skipped
 
-        with mock.patch.object(model, "TEXT_CHUNK_BYTES", chunk_bytes):
+        with (
+            mock.patch.object(model, "TEXT_CHUNK_BYTES", chunk_bytes),
+            mock.patch.object(model, "TEXT_SLICE_BYTES", slice_bytes),
+        ):
             got = decode_outcome(decode)
         assert got == decode_outcome(lambda: per_line_reference(data, lenient))
 
@@ -246,12 +277,12 @@ class TestBinaryFormat:
         assert raw[:4] == bytes([0x49, 0x50, 0x52, 0x31])
         assert int.from_bytes(raw[4:8], "little") == 3
         assert len(raw) == 8 + 3 * 4
-        assert [str(a) for a in open_stream(path).addresses()] == ["0.0.0.1", "0.0.0.2", "0.0.0.3"]
+        assert dotted(open_stream(path)) == ["0.0.0.1", "0.0.0.2", "0.0.0.3"]
 
     def test_explicit_format_selection(self, tmp_path):
         path = tmp_path / "b.bin"
         write_binary(path, np.array([16909060], dtype=np.uint32))
-        assert [str(a) for a in open_stream(path, fmt="binary").addresses()] == ["1.2.3.4"]
+        assert dotted(open_stream(path, fmt="binary")) == ["1.2.3.4"]
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.bin"
