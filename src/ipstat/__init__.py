@@ -7,13 +7,12 @@ passes (ssmb) — next to two baselines (hash map, direct-mapped blocks),
 all sharing one result order and one bounded min-heap top-k extractor.
 """
 
-from .baselines import HashCounter, IpMapCounter, hash_top_k, ipmap_top_k
-from .bench import BenchRow, run_bench, run_method, write_csv
+from .baselines import HashCounter, IpMapCounter
+from .bench import BenchRow, query, run_bench, run_method, write_csv
 from .datagen import DatasetSpec, build_dataset, generate, load_truth, verify
 from .errors import (
     AllocationFailure,
     BinaryFormatError,
-    CounterFinalized,
     CountOverflow,
     GroundTruthMismatch,
     InvalidPlan,
@@ -37,9 +36,9 @@ from .model import (
     to_u32,
     write_binary,
 )
-from .parallel import PartitionPlan, WorkerResult, parallel_top_k, run_parallel
-from .ssmb import SsmbCounter, discover_subsets, element_index, ssmb_top_k
-from .tlmb import TlmbCounter, block_index, tlmb_top_k
+from .parallel import PartitionPlan, WorkerResult, run_parallel
+from .ssmb import SsmbCounter, discover_subsets
+from .tlmb import TlmbCounter
 from .topk import HeapEntry, TopKHeap, merge_top_k
 
 __version__ = "0.1.0"
@@ -50,7 +49,6 @@ __all__ = [
     "BenchRow",
     "BinaryFormatError",
     "CountOverflow",
-    "CounterFinalized",
     "DatasetSpec",
     "FileSource",
     "GroundTruthMismatch",
@@ -72,25 +70,19 @@ __all__ = [
     "TopKHeap",
     "ValidationFailure",
     "WorkerResult",
-    "block_index",
     "build_dataset",
     "discover_subsets",
-    "element_index",
     "format_dotted",
     "from_u32",
     "generate",
-    "hash_top_k",
-    "ipmap_top_k",
     "load_truth",
     "merge_top_k",
     "open_stream",
-    "parallel_top_k",
     "parse_dotted",
+    "query",
     "run_bench",
     "run_method",
     "run_parallel",
-    "ssmb_top_k",
-    "tlmb_top_k",
     "to_u32",
     "verify",
     "write_binary",

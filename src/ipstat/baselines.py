@@ -13,8 +13,8 @@
   first octet, which is what makes it a foil for the subset-scan counter
   that reuses a single block.
 
-Both expose the same ingest/count/top_k/stats surface as the memory-block
-counters so the benchmark driver can treat every method alike.
+Both expose the same ingest_many/count/top_k/stats surface as ``TlmbCounter``,
+so the query driver (``bench.query``) runs them through one loop.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ from collections import Counter
 import numpy as np
 
 from .errors import AllocationFailure
-from .model import IPv4Address, aggregate, checked_add, from_u32, octet_runs, to_u32
-from .topk import HeapEntry, TopKHeap, merge_top_k
+from .model import IPv4Address, aggregate, checked_add, octet_runs, to_u32
+from .topk import HeapEntry, TopKHeap
 
 BLOCK_SLOTS = 1 << 24
 BLOCK_BYTES = BLOCK_SLOTS * 8
@@ -38,10 +38,6 @@ class HashCounter:
     def __init__(self):
         self._table: Counter[int] = Counter()
         self._records = 0
-
-    def ingest(self, address: IPv4Address) -> None:
-        self._table[to_u32(address)] += 1
-        self._records += 1
 
     def ingest_many(self, batch: np.ndarray) -> None:
         self._table.update(np.asarray(batch, dtype=np.uint32).tolist())
@@ -57,11 +53,6 @@ class HashCounter:
             counts = np.fromiter(self._table.values(), dtype=np.int64, count=len(self._table))
             heap.offer_many(addresses, counts)
         return heap.drain_sorted()
-
-    def sorted_items(self) -> list[HeapEntry]:
-        """Every (address, count) pair, strongest first — the full ranking."""
-        pairs = sorted(self._table.items(), key=lambda kv: (-kv[1], kv[0]))
-        return [HeapEntry(from_u32(key), count) for key, count in pairs]
 
     def stats(self) -> dict:
         return {
@@ -92,9 +83,6 @@ class IpMapCounter:
             self._blocks[octet] = block
         return block
 
-    def ingest(self, address: IPv4Address) -> None:
-        self.ingest_many(np.array([to_u32(address)], dtype=np.uint32))
-
     def ingest_many(self, batch: np.ndarray) -> None:
         values, counts = aggregate(batch)
         if values.size == 0:
@@ -114,26 +102,15 @@ class IpMapCounter:
         block = self._blocks.get(value >> 24)
         return 0 if block is None else int(block[value & 0xFFFFFF])
 
-    def per_subset_topk(self, k: int) -> dict[int, list[HeapEntry]]:
-        """Local top-k of each first-octet subset, keyed by octet."""
-        result = {}
+    def top_k(self, k: int) -> list[HeapEntry]:
+        """Global top-k: every block's non-zero slots offered to one heap."""
+        heap = TopKHeap(k)
         for octet in sorted(self._blocks):
             block = self._blocks[octet]
-            heap = TopKHeap(k)
             hits = np.flatnonzero(block)
             if hits.size:
-                addresses = np.uint32(octet << 24) | hits.astype(np.uint32)
-                heap.offer_many(addresses, block[hits])
-            result[octet] = heap.drain_sorted()
-        return result
-
-    def top_k(self, k: int) -> list[HeapEntry]:
-        """Global top-k: per-subset top-k lists merged through one heap.
-
-        Subsets partition the address space, so a global top-k member is
-        always in its own subset's top-k and the merge loses nothing.
-        """
-        return merge_top_k(self.per_subset_topk(k).values(), k)
+                heap.offer_many(np.uint32(octet << 24) | hits.astype(np.uint32), block[hits])
+        return heap.drain_sorted()
 
     def stats(self) -> dict:
         return {
@@ -141,19 +118,3 @@ class IpMapCounter:
             "allocated_blocks": len(self._blocks),
             "tracked_bytes": BLOCK_BYTES * len(self._blocks),
         }
-
-
-def hash_top_k(source, k: int) -> tuple[list[HeapEntry], dict]:
-    """One-pass hash-map top-k; returns (entries, stats)."""
-    counter = HashCounter()
-    for batch in source.open().batches():
-        counter.ingest_many(batch)
-    return counter.top_k(k), counter.stats()
-
-
-def ipmap_top_k(source, k: int) -> tuple[list[HeapEntry], dict]:
-    """One-pass direct-mapped top-k; returns (entries, stats)."""
-    counter = IpMapCounter()
-    for batch in source.open().batches():
-        counter.ingest_many(batch)
-    return counter.top_k(k), counter.stats()

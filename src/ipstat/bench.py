@@ -1,13 +1,16 @@
-"""Benchmark driver: time the methods, validate answers, emit CSV.
+"""Query driver and benchmark: run, time and validate any method; emit CSV.
 
-One run covers the cartesian product methods x k values; each cell is
-timed over ``reps`` repetitions and lands as one CSV row carrying the
-total elapsed seconds plus the per-repetition mean and sample standard
-deviation (empty under two repetitions). Every timed repetition is a
-complete query — open the input, count, and extract top-k — so rows
-compare end-to-end cost, including ssmb's spill of the decoded input and
-every one of its passes and zero-fills, not warm caches of a pre-parsed
-file.
+``query`` is the one entry point that answers a top-k query with any
+method, serial or partitioned; ``run_method`` is ``query`` over a file.
+
+A benchmark run covers the cartesian product methods x k values; each
+cell is timed over ``reps`` repetitions and lands as one CSV row
+carrying the total elapsed seconds plus the per-repetition mean and
+sample standard deviation (empty under two repetitions). Every timed
+repetition is a complete query — open the input, count, and extract
+top-k — so rows compare end-to-end cost, including ssmb's spill of the
+decoded input and every one of its passes and zero-fills, not warm
+caches of a pre-parsed file.
 
 Before any repetition of a cell is timed, its answer is checked against
 the ground-truth sidecar, and so is the answer of every timed repetition
@@ -26,18 +29,21 @@ import csv
 import resource
 import statistics
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, fields
 
-from .baselines import hash_top_k, ipmap_top_k
+from .baselines import HashCounter, IpMapCounter
 from .datagen import load_truth
 from .errors import InvalidPlan, ValidationFailure
 from .model import FileSource, to_u32
-from .parallel import combined_stats, parallel_top_k
-from .ssmb import ssmb_top_k
-from .tlmb import tlmb_top_k
+from .parallel import PartitionPlan, run_parallel
+from .ssmb import SsmbCounter, spilled
+from .tlmb import TlmbCounter
 from .topk import HeapEntry
 
 METHODS = ("tlmb", "ssmb", "hash", "ipmap")
+# the one-pass methods: ingest_many every batch, then top_k(k) and stats()
+COUNTERS = {"tlmb": TlmbCounter, "hash": HashCounter, "ipmap": IpMapCounter}
 
 
 @dataclass
@@ -57,18 +63,38 @@ class BenchRow:
     stddev: float | str
 
 
-def run_method(path, method: str, k: int, workers: int = 1, fmt: str = "auto") -> tuple[list[HeapEntry], dict]:
-    """Run one complete top-k query from a file; returns (entries, stats)."""
-    source = FileSource(path, fmt=fmt)
+def query(source, method: str, k: int, workers: int = 1) -> tuple[list[HeapEntry], dict]:
+    """One complete top-k query over a record source; returns (entries, stats).
+
+    Every method opens ``source`` once. ssmb reads it into a spill and runs
+    its subset passes over that. With ``workers > 1`` the query is
+    partitioned (tlmb and ssmb only) and the stats sum the workers'.
+    """
+    if method not in METHODS:
+        raise InvalidPlan(f"unknown method {method!r}; choose from {', '.join(METHODS)}")
     if workers > 1:
         if method not in ("tlmb", "ssmb"):
             raise InvalidPlan(f"method {method!r} has no partition scheme; run it with workers=1")
-        entries, results = parallel_top_k(source, method, k, workers)
-        return entries, combined_stats(results)
-    runners = {"tlmb": tlmb_top_k, "ssmb": ssmb_top_k, "hash": hash_top_k, "ipmap": ipmap_top_k}
-    if method not in runners:
-        raise InvalidPlan(f"unknown method {method!r}; choose from {', '.join(METHODS)}")
-    return runners[method](source, k)
+        # an ssmb plan and all its workers share one spill of the source
+        with spilled(source) if method == "ssmb" else nullcontext(source) as data:
+            entries, results = run_parallel(data, PartitionPlan.for_source(data, method, workers), k)
+        return entries, {
+            "workers": len(results),
+            "records_ingested": sum(r.stats.get("records_ingested", 0) for r in results),
+            "tracked_bytes": sum(r.stats.get("tracked_bytes", 0) for r in results),
+        }
+    if method == "ssmb":
+        counter = SsmbCounter()
+        return counter.top_k(source, k), counter.stats()
+    counter = COUNTERS[method]()
+    for batch in source.open().batches():
+        counter.ingest_many(batch)
+    return counter.top_k(k), counter.stats()
+
+
+def run_method(path, method: str, k: int, workers: int = 1, fmt: str = "auto") -> tuple[list[HeapEntry], dict]:
+    """Run one complete top-k query from a file; returns (entries, stats)."""
+    return query(FileSource(path, fmt=fmt), method, k, workers)
 
 
 def validate_entries(entries: list[HeapEntry], truth: list[tuple[int, int]], k: int, label: str) -> None:

@@ -45,6 +45,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
+
+
 def _int_list(text: str) -> list[int]:
     try:
         return [int(part) for part in text.split(",") if part]
@@ -94,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--reps", type=_positive_int, required=True, help="timed repetitions per cell")
     bench.add_argument("--csv", required=True, help="output CSV path")
     bench.add_argument("--workers", type=_positive_int, default=1)
-    bench.add_argument("--warmup", type=int, default=0,
+    bench.add_argument("--warmup", type=_non_negative_int, default=0,
                        help="untimed runs per cell before the timed repetitions")
     bench.set_defaults(func=_cmd_bench)
 
@@ -135,7 +142,7 @@ def _cmd_bench(args) -> int:
             raise InvalidPlan(f"k must be at least 1, got {k}")
     rows = run_bench(
         args.input, args.truth, args.methods, args.k, args.reps,
-        workers=args.workers, warmup=max(args.warmup, 0),
+        workers=args.workers, warmup=args.warmup,
     )
     write_csv(args.csv, rows)
     print(f"wrote {len(rows)} rows to {args.csv}")

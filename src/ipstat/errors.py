@@ -29,10 +29,6 @@ class BinaryFormatError(IpstatError):
     """A binary record file has a bad magic, header, or truncated body."""
 
 
-class CounterFinalized(IpstatError):
-    """Ingest was attempted on a counter after finalize()."""
-
-
 class CountOverflow(IpstatError):
     """A counter slot would exceed its 64-bit unsigned range."""
 

@@ -173,11 +173,6 @@ def open_stream(
     return stream
 
 
-def stream_from_array(values: np.ndarray, batch_records: int = BATCH_RECORDS) -> RecordStream:
-    arr = np.asarray(values, dtype=np.uint32)
-    return RecordStream(arr[i : i + batch_records] for i in range(0, max(arr.size, 1), batch_records))
-
-
 def aggregate(batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Distinct values of a uint32 batch, ascending, with uint64 multiplicities.
 
@@ -374,8 +369,6 @@ class FileSource:
     to binary files only; a text file yields one batch per 8 MiB chunk.
     """
 
-    replayable = True
-
     def __init__(self, path, fmt: str = "auto", lenient: bool = False, batch_records: int = BATCH_RECORDS):
         self.path = path
         self.fmt = fmt
@@ -391,8 +384,6 @@ class FileSource:
 class ArraySource:
     """Replayable record source over an in-memory uint32 array."""
 
-    replayable = True
-
     def __init__(self, addresses: np.ndarray, batch_records: int = BATCH_RECORDS):
         self._values = np.ascontiguousarray(addresses, dtype=np.uint32)
         self.batch_records = batch_records
@@ -400,13 +391,12 @@ class ArraySource:
 
     def open(self) -> RecordStream:
         self.replays += 1
-        return stream_from_array(self._values, self.batch_records)
+        values, step = self._values, self.batch_records
+        return RecordStream(values[i : i + step] for i in range(0, max(values.size, 1), step))
 
 
 class SingleUseSource:
     """Adapter around one open RecordStream; cannot be replayed."""
-
-    replayable = False
 
     def __init__(self, stream: RecordStream):
         self._stream = stream
@@ -416,8 +406,3 @@ class SingleUseSource:
             raise SourceNotReplayable("this source has already been consumed")
         stream, self._stream = self._stream, None
         return stream
-
-
-def read_source(source) -> np.ndarray:
-    """Drain one pass of a source into a single uint32 array."""
-    return source.open().read_all()

@@ -175,24 +175,3 @@ def _run_ssmb(source, plan: PartitionPlan, k: int) -> list[WorkerResult]:
     # the pool joins its workers before the spill they share is closed
     with spilled(source) as spill, ThreadPoolExecutor(max_workers=plan.workers) as pool:
         return list(pool.map(work, [spill] * plan.workers, range(plan.workers)))
-
-
-def parallel_top_k(source, method: str, k: int, workers: int) -> tuple[list[HeapEntry], list[WorkerResult]]:
-    """Plan and run a partitioned top-k in one call.
-
-    For ssmb the source is decoded once into a spill; the plan and every
-    worker read that one spill.
-    """
-    if method == "ssmb":
-        with spilled(source) as spill:
-            return run_parallel(spill, PartitionPlan.for_source(spill, method, workers), k)
-    return run_parallel(source, PartitionPlan.for_source(source, method, workers), k)
-
-
-def combined_stats(results: list[WorkerResult]) -> dict:
-    """Sum worker counters into one stats dict for reporting."""
-    return {
-        "workers": len(results),
-        "records_ingested": sum(r.stats.get("records_ingested", 0) for r in results),
-        "tracked_bytes": sum(r.stats.get("tracked_bytes", 0) for r in results),
-    }

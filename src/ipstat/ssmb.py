@@ -43,13 +43,6 @@ BLOCK_BYTES = BLOCK_SLOTS * 8
 RUN = np.dtype([("slot", "<u4"), ("count", "<u8")])
 
 
-def element_index(b: int, c: int, d: int) -> int:
-    """Slot of b.c.d inside a subset's count block."""
-    if not (0 <= b <= 255 and 0 <= c <= 255 and 0 <= d <= 255):
-        raise ValueError(f"octets out of range: ({b}, {c}, {d})")
-    return b * 65536 + c * 256 + d
-
-
 def discover_subsets(source) -> list[int]:
     """One pass listing the distinct first octets present, ascending."""
     seen = np.zeros(256, dtype=bool)
@@ -219,10 +212,3 @@ class SsmbCounter:
             "tracked_bytes": BLOCK_BYTES,
             "spill_bytes": self._spill_bytes,
         }
-
-
-def ssmb_top_k(source, k: int) -> tuple[list[HeapEntry], dict]:
-    """Spill the source once, run the passes, return (entries, stats)."""
-    counter = SsmbCounter()
-    entries = counter.top_k(source, k)
-    return entries, counter.stats()

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import CounterFinalized
 from .model import IPv4Address, aggregate, checked_add, to_u32
 from .topk import HeapEntry, TopKHeap
 
@@ -41,13 +40,6 @@ BLOCK_BYTES = BLOCK_SLOTS * 8
 
 _POOL_SEED_BLOCKS = 1024
 _SWEEP_BLOCKS = 8192
-
-
-def block_index(a: int, b: int) -> int:
-    """Index of the (a, b) block among the 256*256 first-layer blocks."""
-    if not 0 <= a <= 255 or not 0 <= b <= 255:
-        raise ValueError(f"octets out of range: ({a}, {b})")
-    return a * 256 + b
 
 
 class TlmbCounter:
@@ -68,17 +60,11 @@ class TlmbCounter:
         self._prefixes = np.zeros(_POOL_SEED_BLOCKS, dtype=np.uint32)
         self._allocated = 0
         self._records = 0
-        self._finalized = False
 
     # -- ingest ---------------------------------------------------------
 
-    def ingest(self, address: IPv4Address) -> None:
-        """Count one address, as a one-record batch."""
-        self.ingest_many(np.array([to_u32(address)], dtype=np.uint32))
-
     def ingest_many(self, batch: np.ndarray) -> None:
         """Count a uint32 address batch in bulk."""
-        self._check_open()
         values, counts = aggregate(batch)
         if values.size == 0:
             return
@@ -161,16 +147,8 @@ class TlmbCounter:
 
     # -- lifecycle ------------------------------------------------------
 
-    @property
-    def finalized(self) -> bool:
-        return self._finalized
-
-    def finalize(self) -> None:
-        """Freeze the counter; further ingest raises CounterFinalized."""
-        self._finalized = True
-
     def reset(self) -> None:
-        """Zero all counts and reopen for ingest.
+        """Zero all counts.
 
         Count blocks are zero-filled and kept for reuse, not released, so
         a benchmark can re-run on a warm counter without paying the
@@ -181,18 +159,3 @@ class TlmbCounter:
         self._prefixes[: self._allocated] = 0
         self._allocated = 0
         self._records = 0
-        self._finalized = False
-
-    def _check_open(self) -> None:
-        if self._finalized:
-            raise CounterFinalized("counter was finalized; reset() before ingesting again")
-
-
-def tlmb_top_k(source, k: int) -> tuple[list[HeapEntry], dict]:
-    """One-pass top-k over a record source; returns (entries, stats)."""
-    counter = TlmbCounter()
-    stream = source.open()
-    for batch in stream.batches():
-        counter.ingest_many(batch)
-    counter.finalize()
-    return counter.top_k(k), counter.stats()

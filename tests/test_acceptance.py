@@ -25,14 +25,10 @@ from ipstat import (
     build_dataset,
     from_u32,
     generate,
-    hash_top_k,
-    ipmap_top_k,
     load_truth,
-    parallel_top_k,
+    query,
     run_bench,
     run_parallel,
-    ssmb_top_k,
-    tlmb_top_k,
     to_u32,
     verify,
     write_csv,
@@ -40,12 +36,7 @@ from ipstat import (
 
 FIRST_LAYER_BYTES = 134_217_728
 
-ALL_METHODS = {
-    "tlmb": tlmb_top_k,
-    "ssmb": ssmb_top_k,
-    "hash": hash_top_k,
-    "ipmap": ipmap_top_k,
-}
+ALL_METHODS = ("tlmb", "ssmb", "hash", "ipmap")
 
 
 @pytest.fixture(scope="session")
@@ -89,11 +80,11 @@ def test_criterion_1_cross_method_exactness(record_criterion):
         expected = oracle_top_k(records, k)
         source = ArraySource(records)
         rendered = []
-        for name, runner in ALL_METHODS.items():
+        for name in ALL_METHODS:
             if name == "ssmb":
                 entries = shared_ssmb.top_k(source, k)
             else:
-                entries, _ = runner(source, k)
+                entries, _ = query(source, name, k)
             assert as_pairs(entries) == expected, f"trial {trial}: {name} diverged from oracle"
             rendered.append(as_lines(entries))
         assert all(lines == rendered[0] for lines in rendered), f"trial {trial}: outputs not byte-identical"
@@ -114,16 +105,16 @@ def test_criterion_2_serial_parallel_equivalence(record_criterion):
         source = ArraySource(records)
         k = int(rng.choice([1, 10, 100]))
 
-        serial_tlmb, _ = tlmb_top_k(source, k)
+        serial_tlmb, _ = query(source, "tlmb", k)
         serial_lines = as_lines(serial_tlmb)
         for r in (0, 1, 2, 3):
             merged, _ = run_parallel(source, PartitionPlan.by_prefix_bits(r), k)
             assert as_lines(merged) == serial_lines, f"trial {trial}: tlmb r={r} diverged"
 
-        serial_ssmb, _ = ssmb_top_k(source, k)
+        serial_ssmb, _ = query(source, "ssmb", k)
         assert serial_ssmb == serial_tlmb
         for workers in (2, 4):
-            merged, _ = parallel_top_k(source, "ssmb", k, workers)
+            merged, _ = query(source, "ssmb", k, workers)
             assert as_lines(merged) == serial_lines, f"trial {trial}: ssmb workers={workers} diverged"
     record_criterion(
         2, True, f"{trials} inputs: prefix-bit r in 0..3 and subset workers match serial byte-for-byte"
@@ -270,7 +261,7 @@ def test_criterion_8_k1_equals_max_scan(record_criterion):
         for value, count in table.items():
             heap.offer_u32(value, count)
         assert as_pairs(heap.drain_sorted()) == [(best_value, best_count)], f"trial {trial}: heap"
-        entries, _ = tlmb_top_k(ArraySource(records), 1)
+        entries, _ = query(ArraySource(records), "tlmb", 1)
         assert as_pairs(entries) == [(best_value, best_count)], f"trial {trial}: counter"
     record_criterion(8, True, f"{trials} inputs: capacity-1 heap == direct max scan, ties to smaller address")
 

@@ -1,6 +1,8 @@
 """Benchmark driver: per-cell rows, validation gate, CSV output."""
 
 import csv
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -129,3 +131,15 @@ class TestCsv:
         assert parsed[1]["tracked_bytes"] == "134217728"
         assert float(parsed[0]["elapsed_seconds"]) > 0
         assert parsed[0]["stddev"] == ""
+
+
+class TestReadme:
+    def test_library_example_runs(self, tmp_path, monkeypatch, capsys):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+        blocks = re.findall(r"```python\n(.*?)```", readme, flags=re.DOTALL)
+        assert blocks
+        (tmp_path / "data.txt").write_text("1.2.3.4\n5.6.7.8\n1.2.3.4\n")
+        monkeypatch.chdir(tmp_path)
+        for block in blocks:
+            exec(compile(block, "README.md", "exec"), {})
+        assert capsys.readouterr().out.startswith("1.2.3.4 2\n5.6.7.8 1\n")

@@ -183,6 +183,13 @@ class TestBench:
                     "--k", "1", "--reps", "1", "--csv", "z")
         assert err.value.code == 1
 
+    def test_negative_warmup_exits_1(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            run_cli("bench", "--input", "x", "--truth", "y", "--methods", "tlmb",
+                    "--k", "1", "--reps", "1", "--csv", "z", "--warmup", "-5")
+        assert err.value.code == 1
+        assert "must be at least 0, got -5" in capsys.readouterr().err
+
 
 class TestVerify:
     def test_verify_matching_pair(self, tmp_path, capsys):

@@ -313,7 +313,6 @@ class TestSources:
         path = tmp_path / "r.txt"
         path.write_text("1.1.1.1\n2.2.2.2\n")
         source = FileSource(path)
-        assert source.replayable
         first = source.open().read_all()
         second = source.open().read_all()
         assert np.array_equal(first, second)
@@ -330,7 +329,6 @@ class TestSources:
         path = tmp_path / "s.txt"
         path.write_text("1.1.1.1\n")
         source = SingleUseSource(open_stream(path))
-        assert not source.replayable
         source.open().read_all()
         with pytest.raises(SourceNotReplayable):
             source.open()

@@ -8,14 +8,11 @@ from ipstat import (
     ArraySource,
     InvalidPlan,
     PartitionPlan,
-    parallel_top_k,
     parse_dotted,
+    query,
     run_parallel,
-    ssmb_top_k,
-    tlmb_top_k,
     to_u32,
 )
-from ipstat.parallel import combined_stats
 
 
 class TestPlans:
@@ -115,7 +112,7 @@ class TestSerialParallelEquivalence:
             values = random_addresses(rng, 10_000)
             folded = rng.choice(rng.choice(values, size=500), size=10_000).astype(np.uint32)
             source = ArraySource(folded)
-            serial, _ = tlmb_top_k(source, 10)
+            serial, _ = query(source, "tlmb", 10)
             for r in (0, 1, 2, 3):
                 plan = PartitionPlan.by_prefix_bits(r)
                 merged, results = run_parallel(source, plan, 10)
@@ -127,15 +124,16 @@ class TestSerialParallelEquivalence:
         for trial in range(5):
             values = random_addresses(rng, 8000, first_octet_cap=6)
             source = ArraySource(values)
-            serial, _ = ssmb_top_k(source, 10)
+            serial, _ = query(source, "ssmb", 10)
             for workers in (1, 2, 4):
-                merged, _ = parallel_top_k(source, "ssmb", 10, workers)
+                # the driver runs workers=1 serially; the plan keeps the one-worker partition tested
+                merged, _ = run_parallel(source, PartitionPlan.for_source(source, "ssmb", workers), 10)
                 assert merged == serial, f"trial {trial} workers={workers}"
 
     def test_merged_equals_oracle(self):
         rng = np.random.default_rng(604)
         values = random_addresses(rng, 20_000, first_octet_cap=8)
-        merged, _ = parallel_top_k(ArraySource(values), "tlmb", 25, 4)
+        merged, _ = query(ArraySource(values), "tlmb", 25, 4)
         assert as_pairs(merged) == oracle_top_k(values, 25)
 
 
@@ -151,7 +149,7 @@ class TestWorkerResults:
             for entry in result.candidates:
                 assert result.ordinal == entry.address.a >> 6
             assert result.stats["first_layer_bytes"] == 33_554_432
-        total = combined_stats(results)
+        _, total = query(ArraySource(values), "tlmb", 10, 4)
         assert total["records_ingested"] == values.size
         assert total["workers"] == 4
 
@@ -169,5 +167,6 @@ class TestWorkerResults:
     def test_run_method_rejects_unpartitionable_methods(self):
         from ipstat import run_method
 
-        with pytest.raises(InvalidPlan):
-            run_method("unused.txt", "hash", 5, workers=2)
+        for method, message in (("hash", "no partition scheme"), ("foo", "unknown method")):
+            with pytest.raises(InvalidPlan, match=message):
+                run_method("unused.txt", method, 5, workers=2)

@@ -16,16 +16,16 @@ from ipstat import (
     ArraySource,
     FileSource,
     MalformedAddress,
+    PartitionPlan,
     SingleUseSource,
     SsmbCounter,
     TlmbCounter,
     discover_subsets,
-    element_index,
     from_u32,
     open_stream,
-    parallel_top_k,
     parse_dotted,
-    ssmb_top_k,
+    query,
+    run_parallel,
     to_u32,
 )
 from ipstat.ssmb import RUN, OctetSpill
@@ -35,24 +35,6 @@ BLOCK_BYTES = 134_217_728
 
 def addresses_of(*texts: str) -> np.ndarray:
     return np.array([to_u32(parse_dotted(t)) for t in texts], dtype=np.uint32)
-
-
-class TestElementIndex:
-    def test_known_values(self):
-        assert element_index(0, 0, 0) == 0
-        assert element_index(0, 0, 255) == 255
-        assert element_index(1, 2, 3) == 66051
-
-    def test_bijective_on_random_triples(self):
-        rng = np.random.default_rng(400)
-        triples = {tuple(t) for t in rng.integers(0, 256, size=(3000, 3)).tolist()}
-        indexes = {element_index(b, c, d) for b, c, d in triples}
-        assert len(indexes) == len(triples)
-        assert all(0 <= p <= 16_777_215 for p in indexes)
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            element_index(256, 0, 0)
 
 
 class TestDiscovery:
@@ -129,7 +111,7 @@ class TestTopK:
         assert counter.stats()["records_ingested"] == 2
 
     def test_empty_source(self):
-        assert ssmb_top_k(ArraySource(np.empty(0, dtype=np.uint32)), 10)[0] == []
+        assert query(ArraySource(np.empty(0, dtype=np.uint32)), "ssmb", 10)[0] == []
 
 
 class TestSharedBlockReuse:
@@ -268,7 +250,9 @@ class TestSpill:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # interleave the workers' reads of the shared spill
         try:
-            entries, results = parallel_top_k(source, "ssmb", 10, 3)
+            with OctetSpill.build(source) as spill:
+                plan = PartitionPlan.by_first_octets(spill.octets, 3)
+                entries, results = run_parallel(spill, plan, 10)
         finally:
             sys.setswitchinterval(interval)
         assert as_pairs(entries) == oracle_top_k(values, 10)

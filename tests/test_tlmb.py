@@ -4,15 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import as_pairs, oracle_counts, oracle_top_k, random_addresses
-from ipstat import (
-    ArraySource,
-    CounterFinalized,
-    TlmbCounter,
-    block_index,
-    from_u32,
-    parse_dotted,
-    tlmb_top_k,
-)
+from ipstat import ArraySource, TlmbCounter, from_u32, parse_dotted, query, to_u32
 
 FIRST_LAYER_BYTES = 134_217_728
 BLOCK_BYTES = 2048
@@ -20,28 +12,15 @@ BLOCK_BYTES = 2048
 
 def ingest_all(counter: TlmbCounter, values: np.ndarray, scalar: bool = False):
     if scalar:
-        for value in values.tolist():
-            counter.ingest(from_u32(value))
+        for value in values:
+            counter.ingest_many(np.array([value], dtype=np.uint32))
     else:
         counter.ingest_many(values)
 
 
-class TestBlockIndex:
-    def test_known_values(self):
-        assert block_index(0, 0) == 0
-        assert block_index(1, 2) == 258
-        assert block_index(255, 255) == 65535
-
-    def test_bijective_over_octet_pairs(self):
-        seen = {block_index(a, b) for a in range(256) for b in range(256)}
-        assert len(seen) == 65536
-        assert min(seen) == 0 and max(seen) == 65535
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            block_index(256, 0)
-        with pytest.raises(ValueError):
-            block_index(0, -1)
+def one(text: str) -> np.ndarray:
+    """A one-record batch."""
+    return np.array([to_u32(parse_dotted(text))], dtype=np.uint32)
 
 
 class TestAccounting:
@@ -53,7 +32,7 @@ class TestAccounting:
 
     def test_one_address(self):
         counter = TlmbCounter()
-        counter.ingest(parse_dotted("1.2.3.4"))
+        counter.ingest_many(one("1.2.3.4"))
         stats = counter.stats()
         assert stats["records_ingested"] == 1
         assert stats["allocated_second_blocks"] == 1
@@ -62,15 +41,15 @@ class TestAccounting:
     def test_shared_prefix_shares_a_block(self):
         counter = TlmbCounter()
         for text in ["1.2.3.4", "1.2.3.4", "1.2.3.5"]:
-            counter.ingest(parse_dotted(text))
+            counter.ingest_many(one(text))
         assert counter.count(parse_dotted("1.2.3.4")) == 2
         assert counter.count(parse_dotted("1.2.3.5")) == 1
         assert counter.stats()["allocated_second_blocks"] == 1
 
     def test_distinct_prefixes_get_own_blocks(self):
         counter = TlmbCounter()
-        counter.ingest(parse_dotted("1.2.3.4"))
-        counter.ingest(parse_dotted("9.9.9.9"))
+        counter.ingest_many(one("1.2.3.4"))
+        counter.ingest_many(one("9.9.9.9"))
         assert counter.stats()["allocated_second_blocks"] == 2
 
     def test_lazy_allocation_matches_distinct_prefixes(self):
@@ -110,7 +89,7 @@ class TestExactness:
 
     def test_mixed_scalar_and_batch(self):
         counter = TlmbCounter()
-        counter.ingest(parse_dotted("1.2.3.4"))
+        counter.ingest_many(one("1.2.3.4"))
         counter.ingest_many(np.array([to_u32_of("1.2.3.4"), to_u32_of("7.7.7.7")], dtype=np.uint32))
         assert counter.count(parse_dotted("1.2.3.4")) == 2
         assert counter.count(parse_dotted("7.7.7.7")) == 1
@@ -120,7 +99,7 @@ class TestTopK:
     def test_known_case(self):
         counter = TlmbCounter()
         for text in ["1.2.3.4", "1.2.3.4", "1.2.3.5"]:
-            counter.ingest(parse_dotted(text))
+            counter.ingest_many(one(text))
         assert as_pairs(counter.top_k(1)) == [(to_u32_of("1.2.3.4"), 2)]
 
     def test_empty_counter(self):
@@ -148,30 +127,17 @@ class TestTopK:
     def test_runner_over_source(self):
         rng = np.random.default_rng(304)
         values = random_addresses(rng, 20_000)
-        entries, stats = tlmb_top_k(ArraySource(values), 10)
+        entries, stats = query(ArraySource(values), "tlmb", 10)
         assert as_pairs(entries) == oracle_top_k(values, 10)
         assert stats["records_ingested"] == values.size
 
 
 class TestLifecycle:
-    def test_finalize_blocks_ingest(self):
-        counter = TlmbCounter()
-        counter.ingest(parse_dotted("1.2.3.4"))
-        counter.finalize()
-        assert counter.finalized
-        with pytest.raises(CounterFinalized):
-            counter.ingest(parse_dotted("1.2.3.4"))
-        with pytest.raises(CounterFinalized):
-            counter.ingest_many(np.array([1], dtype=np.uint32))
-        # queries still work on a finalized counter
-        assert counter.count(parse_dotted("1.2.3.4")) == 1
-
     def test_reset_reopens_and_zeroes(self):
         rng = np.random.default_rng(305)
         values = random_addresses(rng, 1000)
         counter = TlmbCounter()
         counter.ingest_many(values)
-        counter.finalize()
         counter.reset()
         stats = counter.stats()
         assert stats == {
@@ -201,7 +167,7 @@ class TestNarrowedRange:
         with pytest.raises(ValueError):
             counter.ingest_many(np.array([to_u32_of("4.0.0.1")], dtype=np.uint32))
         with pytest.raises(ValueError):
-            counter.ingest(parse_dotted("1.0.0.1"))
+            counter.ingest_many(one("1.0.0.1"))
 
     def test_invalid_ranges_rejected(self):
         with pytest.raises(ValueError):
@@ -211,6 +177,4 @@ class TestNarrowedRange:
 
 
 def to_u32_of(text: str) -> int:
-    from ipstat import to_u32
-
     return to_u32(parse_dotted(text))
