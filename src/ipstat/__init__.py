@@ -20,7 +20,6 @@ from .errors import (
     IpstatError,
     MalformedAddress,
     OctetOutOfRange,
-    SourceNotReplayable,
     ValidationFailure,
 )
 from .model import (
@@ -28,7 +27,6 @@ from .model import (
     FileSource,
     IPv4Address,
     RecordStream,
-    SingleUseSource,
     format_dotted,
     from_u32,
     open_stream,
@@ -63,8 +61,6 @@ __all__ = [
     "OctetOutOfRange",
     "PartitionPlan",
     "RecordStream",
-    "SingleUseSource",
-    "SourceNotReplayable",
     "SsmbCounter",
     "TlmbCounter",
     "TopKHeap",

@@ -68,7 +68,8 @@ def query(source, method: str, k: int, workers: int = 1) -> tuple[list[HeapEntry
 
     Every method opens ``source`` once. ssmb reads it into a spill and runs
     its subset passes over that. With ``workers > 1`` the query is
-    partitioned (tlmb and ssmb only) and the stats sum the workers'.
+    partitioned (tlmb and ssmb only) and the stats sum the workers', except
+    ssmb's ``spill_bytes``: the workers share one spill.
     """
     if method not in METHODS:
         raise InvalidPlan(f"unknown method {method!r}; choose from {', '.join(METHODS)}")
@@ -78,11 +79,14 @@ def query(source, method: str, k: int, workers: int = 1) -> tuple[list[HeapEntry
         # an ssmb plan and all its workers share one spill of the source
         with spilled(source) if method == "ssmb" else nullcontext(source) as data:
             entries, results = run_parallel(data, PartitionPlan.for_source(data, method, workers), k)
-        return entries, {
+        stats = {
             "workers": len(results),
             "records_ingested": sum(r.stats.get("records_ingested", 0) for r in results),
             "tracked_bytes": sum(r.stats.get("tracked_bytes", 0) for r in results),
         }
+        if method == "ssmb":
+            stats["spill_bytes"] = data.spill_bytes  # one spill, shared by every worker
+        return entries, stats
     if method == "ssmb":
         counter = SsmbCounter()
         return counter.top_k(source, k), counter.stats()

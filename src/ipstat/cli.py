@@ -1,9 +1,9 @@
 """Command-line front end: ipstat gen | topk | bench.
 
 Exit codes: 0 success; 1 usage or invalid arguments; 2 input could not be
-read or parsed, or a resource ran out (a count block that cannot be
-allocated, a count past 64 bits, a full disk under the ssmb spill); 3 a
-result failed validation against ground truth.
+read or parsed, or a resource ran out (memory for a count block, handle
+table or block pool, a count past 64 bits, a full disk under the ssmb
+spill); 3 a result failed validation against ground truth.
 """
 
 from __future__ import annotations
@@ -172,6 +172,10 @@ def main(argv=None) -> int:
         return EXIT_INPUT
     except OSError as exc:
         print(f"ipstat: error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except MemoryError as exc:
+        # numpy names the failed allocation; a bare MemoryError says nothing
+        print(f"ipstat: error: out of memory: {str(exc) or 'an allocation failed'}", file=sys.stderr)
         return EXIT_INPUT
     except (ValidationFailure, GroundTruthMismatch) as exc:
         print(f"ipstat: error: {exc}", file=sys.stderr)

@@ -33,10 +33,6 @@ class CountOverflow(IpstatError):
     """A counter slot would exceed its 64-bit unsigned range."""
 
 
-class SourceNotReplayable(IpstatError):
-    """A single-use record source was opened a second time."""
-
-
 class AllocationFailure(IpstatError):
     """A counting array could not be allocated (each one costs 128 MiB)."""
 

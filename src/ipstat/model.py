@@ -26,17 +26,12 @@ its own bytes alone.
 from __future__ import annotations
 
 import mmap
+import weakref
 from typing import BinaryIO, Iterator, NamedTuple
 
 import numpy as np
 
-from .errors import (
-    BinaryFormatError,
-    CountOverflow,
-    MalformedAddress,
-    OctetOutOfRange,
-    SourceNotReplayable,
-)
+from .errors import BinaryFormatError, CountOverflow, MalformedAddress, OctetOutOfRange
 
 BINARY_MAGIC = b"IPR1"
 
@@ -169,7 +164,9 @@ def open_stream(
     if fmt == "binary":
         stream._batches = _binary_batches(handle, lenient, batch_records)
     else:
-        stream._batches = _text_batches(handle, stream, lenient)
+        # a strong reference would make a cycle, and a stream dropped part-way
+        # (a failed query) would keep its file open until the cyclic GC ran
+        stream._batches = _text_batches(handle, weakref.proxy(stream), lenient)
     return stream
 
 
@@ -394,15 +391,3 @@ class ArraySource:
         values, step = self._values, self.batch_records
         return RecordStream(values[i : i + step] for i in range(0, max(values.size, 1), step))
 
-
-class SingleUseSource:
-    """Adapter around one open RecordStream; cannot be replayed."""
-
-    def __init__(self, stream: RecordStream):
-        self._stream = stream
-
-    def open(self) -> RecordStream:
-        if self._stream is None:
-            raise SourceNotReplayable("this source has already been consumed")
-        stream, self._stream = self._stream, None
-        return stream

@@ -7,8 +7,10 @@ address is counted wholly by one worker and worker results never overlap:
   owns first octets [w * 256/2**r, (w+1) * 256/2**r) and runs a narrowed
   counter whose handle table is 1/2**r of the full size, so the combined
   first-layer footprint of all workers equals one full-range counter. The
-  input is read once; a batch whose smallest and largest addresses share
-  an owner goes to that worker whole, and only a mixed batch is split.
+  input is read once; each batch is reduced to its ascending distinct
+  addresses and their counts, and since ownership is monotone in the
+  address, one cut at the owners' start addresses hands every worker its
+  own slice of those runs.
 * ssmb — the input is decoded once into one ``OctetSpill``, whose first
   octets are dealt round-robin over the workers; each worker runs its own
   subset passes over its octets' runs in that shared spill (and has its
@@ -28,6 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidPlan
+from .model import aggregate
 from .ssmb import OctetSpill, SsmbCounter, discover_subsets, spilled
 from .tlmb import TlmbCounter
 from .topk import HeapEntry, merge_top_k
@@ -91,29 +94,12 @@ class PartitionPlan:
             return cls.by_first_octets(octets, min(workers, max(len(octets), 1)))
         raise InvalidPlan(f"unknown method {method!r}")
 
-    def assign(self, address_u32: int) -> int:
-        """Worker ordinal owning one address."""
-        octet = (int(address_u32) >> 24) & 0xFF
-        if self.method == "tlmb":
-            return octet >> (8 - self.prefix_bits) if self.prefix_bits else 0
-        try:
-            return self.octets.index(octet) % self.workers
-        except ValueError:
-            raise InvalidPlan(f"first octet {octet} is not in this plan") from None
-
-    def assign_array(self, batch: np.ndarray) -> np.ndarray:
-        """Worker ordinal per address of a uint32 batch."""
-        batch = np.asarray(batch, dtype=np.uint32)
-        if self.method == "tlmb":
-            if not self.prefix_bits:
-                return np.zeros(batch.size, dtype=np.int64)
-            return (batch >> np.uint32(32 - self.prefix_bits)).astype(np.int64)
-        table = np.full(256, -1, dtype=np.int64)
-        table[list(self.octets)] = np.arange(len(self.octets)) % self.workers
-        ordinals = table[batch >> np.uint32(24)]
-        if (ordinals < 0).any():
-            raise InvalidPlan("batch contains first octets not covered by this plan")
-        return ordinals
+    def bounds(self, values: np.ndarray) -> list[int]:
+        """Cut ascending uint32 ``values`` by tlmb owner: worker w owns values[b[w]:b[w + 1]]."""
+        if self.method != "tlmb":
+            raise InvalidPlan("only tlmb plans cut the address range")
+        starts = np.arange(1, self.workers, dtype=np.uint32) << np.uint32(32 - self.prefix_bits)
+        return [0, *np.searchsorted(values, starts).tolist(), values.size]
 
     def worker_octets(self, ordinal: int) -> list[int]:
         """The ssmb subset passes assigned to one worker."""
@@ -142,20 +128,17 @@ def run_parallel(source, plan: PartitionPlan, k: int) -> tuple[list[HeapEntry], 
 def _run_tlmb(source, plan: PartitionPlan, k: int) -> list[WorkerResult]:
     span = 256 >> plan.prefix_bits
     counters = [TlmbCounter(first_octet_base=w * span, first_octet_span=span) for w in range(plan.workers)]
-    stream = source.open()
     with ThreadPoolExecutor(max_workers=plan.workers) as pool:
-        for batch in stream.batches():
-            if not batch.size:
-                continue
-            # ownership is monotone in the address, so equal owners at both
-            # ends mean the whole batch belongs to one worker
-            first, last = plan.assign(int(batch.min())), plan.assign(int(batch.max()))
-            if first == last:
-                parts = [(first, batch)]
-            else:
-                ordinals = plan.assign_array(batch)
-                parts = [(w, batch[ordinals == w]) for w in range(first, last + 1)]
-            futures = [pool.submit(counters[w].ingest_many, part) for w, part in parts if part.size]
+        # no local holds the stream, so a failed batch that unwinds this
+        # frame drops it, and a file source closes then
+        for batch in source.open().batches():
+            values, counts = aggregate(batch)
+            cuts = plan.bounds(values)
+            futures = [
+                pool.submit(counter.add_runs, values[lo:hi], counts[lo:hi])
+                for counter, lo, hi in zip(counters, cuts[:-1], cuts[1:])
+                if hi > lo
+            ]
             for future in futures:
                 future.result()
         tops = [pool.submit(counter.top_k, k) for counter in counters]

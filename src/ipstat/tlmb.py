@@ -20,12 +20,13 @@ prefixes seen, not the number of records.
 the first-octet range, shrinking the handle table proportionally; the
 parallel scheme runs one narrowed counter per partition.
 
-Blocks are stored as rows of one growing pool array. Batched ingest
-aggregates first: ``model.aggregate`` reduces a batch to its distinct
-addresses and their multiplicities, and only those touch the handle table
-and the pool, in one gather-check-scatter over flat slot indices. The
-distinct addresses come out ascending, so new prefixes get their blocks in
-ascending prefix order within a batch.
+Blocks are stored as rows of one growing pool array. Counting goes
+through one seam, ``add_runs(values, counts)``: ascending distinct
+addresses and their multiplicities touch the handle table and the pool in
+one gather-check-scatter over flat slot indices, and new prefixes get
+their blocks in ascending prefix order. ``ingest_many`` feeds it a batch
+reduced by ``model.aggregate``; the parallel scheme aggregates a batch
+once and hands each worker's counter its slice of the runs.
 """
 
 from __future__ import annotations
@@ -65,7 +66,10 @@ class TlmbCounter:
 
     def ingest_many(self, batch: np.ndarray) -> None:
         """Count a uint32 address batch in bulk."""
-        values, counts = aggregate(batch)
+        self.add_runs(*aggregate(batch))
+
+    def add_runs(self, values: np.ndarray, counts: np.ndarray) -> None:
+        """Count ascending distinct uint32 ``values`` by their uint64 ``counts``."""
         if values.size == 0:
             return
         local = (values >> np.uint32(8)).astype(np.int64) - self._base_prefix

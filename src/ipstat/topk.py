@@ -40,10 +40,6 @@ class TopKHeap:
         self._heap: list[tuple[int, int]] = []
 
     @property
-    def size(self) -> int:
-        return len(self._heap)
-
-    @property
     def full(self) -> bool:
         return len(self._heap) >= self.k
 
@@ -86,10 +82,6 @@ class TopKHeap:
             counts = counts[keep]
         for address, count in zip(addresses.tolist(), counts.tolist()):
             self.offer_u32(address, count)
-
-    def entries(self) -> list[HeapEntry]:
-        """Kept entries in heap (arbitrary) order."""
-        return [HeapEntry(from_u32(-neg), count) for count, neg in self._heap]
 
     def drain_sorted(self) -> list[HeapEntry]:
         """Remove and return all entries, strongest first."""

@@ -50,6 +50,19 @@ def random_addresses(rng: np.random.Generator, n: int, first_octet_cap: int = 25
     return rng.integers(0, space, size=n, dtype=np.uint64).astype(np.uint32)
 
 
+class SingleUseSource:
+    """Record source over one open stream: it opens once, like a pipe."""
+
+    def __init__(self, stream):
+        self._stream = stream
+
+    def open(self):
+        if self._stream is None:
+            raise RuntimeError("this source has already been consumed")
+        stream, self._stream = self._stream, None
+        return stream
+
+
 def property_settings(max_examples: int) -> settings:
     """Hypothesis settings that replay the same bounded example set every run."""
     return settings(max_examples=max_examples, derandomize=True, database=None, deadline=None)

@@ -341,11 +341,15 @@ def test_criterion_9_property_suites(record_criterion):
     for _ in range(500):
         r = int(rng.integers(0, 9))
         plan = PartitionPlan.by_prefix_bits(r)
-        batch = rng.integers(0, 2**32, size=200, dtype=np.uint64).astype(np.uint32)
-        ordinals = plan.assign_array(batch)
-        assert int(ordinals.min()) >= 0 and int(ordinals.max()) < plan.workers
-        sample = int(rng.integers(0, batch.size))
-        assert plan.assign(int(batch[sample])) == int(ordinals[sample])
+        edges = np.arange(1, plan.workers, dtype=np.uint64) << np.uint64(32 - r)
+        drawn = rng.integers(0, 2**32, size=200, dtype=np.uint64)
+        values = np.unique(np.concatenate([drawn, edges, edges - 1]).astype(np.uint32))
+        cuts = plan.bounds(values)
+        # the cut covers every value once, in order, and gives it to the worker its top r bits name
+        assert len(cuts) == plan.workers + 1 and cuts[0] == 0 and cuts[-1] == values.size
+        assert all(lo <= hi for lo, hi in zip(cuts, cuts[1:]))
+        owners = np.repeat(np.arange(plan.workers), np.diff(cuts))
+        assert np.array_equal(owners, values.astype(np.uint64) >> np.uint64(32 - r))
         coverage += 1
     for _ in range(500):
         octets = sorted(rng.choice(256, size=int(rng.integers(1, 17)), replace=False).tolist())
@@ -354,9 +358,6 @@ def test_criterion_9_property_suites(record_criterion):
         dealt = [plan.worker_octets(w) for w in range(workers)]
         flattened = sorted(octet for part in dealt for octet in part)
         assert flattened == octets  # covers every subset exactly once
-        for w, part in enumerate(dealt):
-            for octet in part:
-                assert plan.assign(octet << 24) == w
         coverage += 1
     cases["partition coverage/disjointness"] = coverage
 

@@ -1,6 +1,7 @@
 """Benchmark driver: per-cell rows, validation gate, CSV output."""
 
 import csv
+import gc
 import re
 from pathlib import Path
 
@@ -8,8 +9,20 @@ import numpy as np
 import pytest
 
 from conftest import as_pairs, oracle_top_k
-from ipstat import DatasetSpec, ValidationFailure, generate, load_truth, run_bench, run_method, write_csv
-from ipstat import bench
+from ipstat import (
+    CountOverflow,
+    DatasetSpec,
+    FileSource,
+    TlmbCounter,
+    ValidationFailure,
+    generate,
+    load_truth,
+    query,
+    run_bench,
+    run_method,
+    write_csv,
+)
+from ipstat import bench, model
 from ipstat.bench import validate_entries
 
 
@@ -36,10 +49,37 @@ class TestRunMethod:
     def test_parallel_methods_match_serial(self, dataset):
         path, _ = dataset
         for method in ("tlmb", "ssmb"):
-            serial, _ = run_method(path, method, 10)
+            serial, serial_stats = run_method(path, method, 10)
             parallel, stats = run_method(path, method, 10, workers=2)
             assert parallel == serial, method
             assert stats["records_ingested"] == 30_000
+            # the workers share one spill, so it is reported once, not per worker
+            assert stats.get("spill_bytes") == serial_stats.get("spill_bytes"), method
+        assert serial_stats["spill_bytes"] > 0
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failed_text_query_closes_its_file(self, tmp_path, monkeypatch, workers):
+        path = tmp_path / "two_octets.txt"
+        path.write_text("1.2.3.4\n200.1.1.1\n" * 10)
+        handles = []
+
+        def recording_open(*args, **kwargs):
+            handles.append(open(*args, **kwargs))
+            return handles[-1]
+
+        def fail(self, values, counts):
+            raise CountOverflow("an address count would exceed the 64-bit range")
+
+        monkeypatch.setattr(model, "open", recording_open, raising=False)
+        monkeypatch.setattr(TlmbCounter, "add_runs", fail)
+        # with the cyclic collector off, only reference counting can close the file
+        gc.disable()
+        try:
+            with pytest.raises(CountOverflow):
+                query(FileSource(path), "tlmb", 1, workers)
+            assert len(handles) == 1 and handles[0].closed
+        finally:
+            gc.enable()
 
 
 class TestValidation:

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import tempfile
 
+import numpy as np
 import pytest
 
 from ipstat import AllocationFailure, CountOverflow, IpMapCounter, TlmbCounter
@@ -122,6 +123,20 @@ class TestTopk:
         monkeypatch.setattr(counter, "ingest_many", fail)
         assert run_cli("topk", "--method", method, "--k", "1", "--input", str(small_file)) == 2
         assert capsys.readouterr().err == f"ipstat: error: {error}\n"
+
+    @pytest.mark.parametrize("method", ["tlmb", "ssmb"])
+    def test_out_of_memory_exits_2(self, small_file, capsys, monkeypatch, method):
+        zeros = np.zeros
+
+        def scarce(shape, *args, **kwargs):
+            # the tlmb handle table and the ssmb block are 2**24 slots each
+            if np.prod(shape) >= 1 << 24:
+                raise MemoryError()
+            return zeros(shape, *args, **kwargs)
+
+        monkeypatch.setattr(np, "zeros", scarce)
+        assert run_cli("topk", "--method", method, "--k", "1", "--input", str(small_file)) == 2
+        assert capsys.readouterr().err == "ipstat: error: out of memory: an allocation failed\n"
 
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_full_spill_disk_exits_2(self, tmp_path, capsys, monkeypatch, workers):

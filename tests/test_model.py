@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from conftest import property_settings, random_addresses
+from conftest import SingleUseSource, property_settings, random_addresses
 from ipstat import model
 from ipstat import (
     ArraySource,
@@ -16,8 +16,6 @@ from ipstat import (
     IPv4Address,
     MalformedAddress,
     OctetOutOfRange,
-    SingleUseSource,
-    SourceNotReplayable,
     format_dotted,
     from_u32,
     open_stream,
@@ -330,5 +328,5 @@ class TestSources:
         path.write_text("1.1.1.1\n")
         source = SingleUseSource(open_stream(path))
         source.open().read_all()
-        with pytest.raises(SourceNotReplayable):
+        with pytest.raises(RuntimeError, match="already been consumed"):
             source.open()

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from conftest import as_pairs, oracle_top_k, random_addresses
+from conftest import as_pairs, oracle_top_k, property_settings, random_addresses
 from ipstat import (
     ArraySource,
     InvalidPlan,
@@ -15,23 +17,33 @@ from ipstat import (
 )
 
 
+def cut(plan: PartitionPlan, addresses) -> list[list[int]]:
+    """The slice of the ascending distinct addresses each worker of a tlmb plan gets."""
+    values = np.unique(np.asarray(addresses, dtype=np.uint32))
+    cuts = plan.bounds(values)
+    return [values[lo:hi].tolist() for lo, hi in zip(cuts[:-1], cuts[1:])]
+
+
 class TestPlans:
     def test_prefix_bits_assignment(self):
         plan = PartitionPlan.by_prefix_bits(2)
         assert plan.workers == 4
-        assert plan.assign(to_u32(parse_dotted("10.1.2.3"))) == 0
-        assert plan.assign(to_u32(parse_dotted("192.1.2.3"))) == 3
-        assert plan.assign(to_u32(parse_dotted("64.0.0.0"))) == 1
+        low, mid, high = (to_u32(parse_dotted(a)) for a in ("10.1.2.3", "64.0.0.0", "192.1.2.3"))
+        assert cut(plan, [high, low, mid]) == [[low], [mid], [], [high]]
+        # a worker's first address opens its slice, the one below closes the previous
+        assert cut(plan, [mid - 1, mid]) == [[mid - 1], [mid], [], []]
 
     def test_prefix_bits_zero_is_single_worker(self):
         plan = PartitionPlan.by_prefix_bits(0)
         assert plan.workers == 1
-        assert plan.assign(to_u32(parse_dotted("255.255.255.255"))) == 0
+        assert cut(plan, [0, 2**32 - 1]) == [[0, 2**32 - 1]]
+        assert plan.bounds(np.empty(0, dtype=np.uint32)) == [0, 0]
 
     def test_first_octet_assignment(self):
         plan = PartitionPlan.by_first_octets([7, 9], workers=2)
-        assert plan.assign(to_u32(parse_dotted("7.1.1.1"))) == 0
-        assert plan.assign(to_u32(parse_dotted("9.1.1.1"))) == 1
+        assert [plan.worker_octets(w) for w in range(2)] == [[7], [9]]
+        with pytest.raises(InvalidPlan):
+            plan.bounds(np.array([7 << 24], dtype=np.uint32))
 
     def test_first_octets_deal_round_robin(self):
         plan = PartitionPlan.by_first_octets([3, 5, 8, 11, 40], workers=2)
@@ -71,15 +83,15 @@ class TestAssignmentProperties:
         for trial in range(50):
             r = int(rng.integers(0, 4))
             plan = PartitionPlan.by_prefix_bits(r)
-            batch = random_addresses(rng, 2000)
-            ordinals = plan.assign_array(batch)
-            assert ordinals.min() >= 0 and ordinals.max() < plan.workers
-            # array assignment agrees with scalar assignment
-            for i in rng.integers(0, batch.size, size=20).tolist():
-                assert ordinals[i] == plan.assign(int(batch[i])), f"trial {trial}"
-            # partition rule: ordinal is exactly the top r bits of octet a
-            expected = (batch >> np.uint32(24)).astype(np.int64) >> (8 - r) if r else np.zeros(batch.size, dtype=np.int64)
-            assert np.array_equal(ordinals, expected)
+            edges = np.arange(1, plan.workers, dtype=np.uint32) << np.uint32(32 - r)
+            values = np.unique(np.concatenate([random_addresses(rng, 2000), edges, edges - np.uint32(1)]))
+            cuts = plan.bounds(values)
+            # the slices cover the values once, in order
+            assert len(cuts) == plan.workers + 1 and cuts[0] == 0 and cuts[-1] == values.size
+            assert all(lo <= hi for lo, hi in zip(cuts, cuts[1:])), f"trial {trial}"
+            # partition rule: a value's owner is exactly its top r bits
+            owners = np.repeat(np.arange(plan.workers), np.diff(cuts))
+            assert np.array_equal(owners, values.astype(np.uint64) >> np.uint64(32 - r)), f"trial {trial}"
 
     def test_first_octet_coverage(self):
         rng = np.random.default_rng(601)
@@ -88,21 +100,33 @@ class TestAssignmentProperties:
             workers = int(rng.integers(1, 5))
             batch = random_addresses(rng, 1000, first_octet_cap=cap)
             plan = PartitionPlan.for_source(ArraySource(batch), "ssmb", workers)
-            ordinals = plan.assign_array(batch)
-            assert ordinals.min() >= 0 and ordinals.max() < plan.workers
-            # every plan octet is owned by exactly one worker
-            owners = {octet: plan.assign(octet << 24) for octet in plan.octets}
-            assert sorted(owners) == list(plan.octets)
             per_worker = [plan.worker_octets(w) for w in range(plan.workers)]
+            # every plan octet is owned by exactly one worker, and every record's octet is in the plan
             flattened = sorted(octet for octets in per_worker for octet in octets)
             assert flattened == list(plan.octets)
+            assert set((batch >> np.uint32(24)).tolist()) == set(plan.octets)
 
-    def test_uncovered_octet_rejected(self):
-        plan = PartitionPlan.by_first_octets([3, 5], workers=2)
-        with pytest.raises(InvalidPlan):
-            plan.assign(to_u32(parse_dotted("4.0.0.0")))
-        with pytest.raises(InvalidPlan):
-            plan.assign_array(np.array([to_u32(parse_dotted("4.0.0.0"))], dtype=np.uint32))
+
+@st.composite
+def routed_inputs(draw):
+    """(r, batch size, addresses) with the addresses clustered at tlmb owner boundaries."""
+    r = draw(st.integers(0, 3))
+    edges = [w << (32 - r) for w in range((1 << r) + 1)]
+    near = st.tuples(st.sampled_from(edges), st.integers(-3, 2)).map(lambda t: min(max(sum(t), 0), 2**32 - 1))
+    values = np.array(draw(st.lists(near, max_size=120)), dtype=np.uint32)
+    if draw(st.booleans()):
+        values.sort()  # long runs of one owner, so whole batches sit inside it
+    return r, draw(st.integers(1, 64)), values
+
+
+@property_settings(150)
+@given(routed_inputs(), st.integers(1, 8))
+def test_routing_matches_oracle(case, k):
+    r, batch_records, values = case
+    merged, results = run_parallel(ArraySource(values, batch_records=batch_records), PartitionPlan.by_prefix_bits(r), k)
+    assert as_pairs(merged) == oracle_top_k(values, k)
+    owners = (values.astype(np.uint64) >> np.uint64(32 - r)).astype(np.int64)
+    assert [w.stats["records_ingested"] for w in results] == np.bincount(owners, minlength=1 << r).tolist()
 
 
 class TestSerialParallelEquivalence:

@@ -11,13 +11,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import ipstat.model
-from conftest import as_pairs, oracle_top_k, property_settings, random_addresses
+from conftest import SingleUseSource, as_pairs, oracle_top_k, property_settings, random_addresses
 from ipstat import (
     ArraySource,
     FileSource,
     MalformedAddress,
     PartitionPlan,
-    SingleUseSource,
     SsmbCounter,
     TlmbCounter,
     discover_subsets,

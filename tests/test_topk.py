@@ -16,7 +16,7 @@ class TestKnownCases:
     def test_keeps_the_k_strongest(self):
         heap = TopKHeap(2)
         offer_pairs(heap, [(10, 3), (20, 1), (30, 2)])
-        assert sorted(as_pairs(heap.entries())) == [(10, 3), (30, 2)]
+        assert sorted(as_pairs(heap.drain_sorted())) == [(10, 3), (30, 2)]
 
     def test_k1_is_running_max(self):
         heap = TopKHeap(1)
