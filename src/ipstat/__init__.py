@@ -27,7 +27,6 @@ from .model import (
     FileSource,
     IPv4Address,
     RecordStream,
-    format_dotted,
     from_u32,
     open_stream,
     parse_dotted,
@@ -68,7 +67,6 @@ __all__ = [
     "WorkerResult",
     "build_dataset",
     "discover_subsets",
-    "format_dotted",
     "from_u32",
     "generate",
     "load_truth",

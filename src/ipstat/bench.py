@@ -68,22 +68,24 @@ def query(source, method: str, k: int, workers: int = 1) -> tuple[list[HeapEntry
 
     Every method opens ``source`` once. ssmb reads it into a spill and runs
     its subset passes over that. With ``workers > 1`` the query is
-    partitioned (tlmb and ssmb only) and the stats sum the workers', except
+    partitioned (tlmb and ssmb only); its stats carry every key of the
+    serial stats, each the sum of the workers', plus ``workers``, except
     ssmb's ``spill_bytes``: the workers share one spill.
     """
     if method not in METHODS:
         raise InvalidPlan(f"unknown method {method!r}; choose from {', '.join(METHODS)}")
+    if workers < 1:
+        raise InvalidPlan(f"worker count must be at least 1, got {workers}")
     if workers > 1:
         if method not in ("tlmb", "ssmb"):
             raise InvalidPlan(f"method {method!r} has no partition scheme; run it with workers=1")
         # an ssmb plan and all its workers share one spill of the source
         with spilled(source) if method == "ssmb" else nullcontext(source) as data:
             entries, results = run_parallel(data, PartitionPlan.for_source(data, method, workers), k)
-        stats = {
-            "workers": len(results),
-            "records_ingested": sum(r.stats.get("records_ingested", 0) for r in results),
-            "tracked_bytes": sum(r.stats.get("tracked_bytes", 0) for r in results),
-        }
+        stats = {"workers": len(results)}
+        for result in results:
+            for key, value in result.stats.items():
+                stats[key] = stats.get(key, 0) + value
         if method == "ssmb":
             stats["spill_bytes"] = data.spill_bytes  # one spill, shared by every worker
         return entries, stats

@@ -54,13 +54,18 @@ def _non_negative_int(text: str) -> int:
 
 def _int_list(text: str) -> list[int]:
     try:
-        return [int(part) for part in text.split(",") if part]
+        values = [int(part) for part in text.split(",") if part]
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
+        values = []
+    if not values or min(values) < 1:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers of at least 1, got {text!r}")
+    return values
 
 
 def _method_list(text: str) -> list[str]:
     methods = [part for part in text.split(",") if part]
+    if not methods:
+        raise argparse.ArgumentTypeError(f"expected comma-separated methods, got {text!r}")
     for method in methods:
         if method not in METHODS:
             raise argparse.ArgumentTypeError(f"unknown method {method!r}; choose from {', '.join(METHODS)}")
@@ -137,9 +142,6 @@ def _cmd_topk(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    for k in args.k:
-        if k < 1:
-            raise InvalidPlan(f"k must be at least 1, got {k}")
     rows = run_bench(
         args.input, args.truth, args.methods, args.k, args.reps,
         workers=args.workers, warmup=args.warmup,

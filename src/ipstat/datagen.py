@@ -27,7 +27,7 @@ import numpy as np
 
 from .baselines import HashCounter
 from .errors import GroundTruthMismatch, InvalidSpec, MalformedAddress
-from .model import format_dotted, from_u32, open_stream, parse_dotted, to_u32, write_binary
+from .model import from_u32, open_stream, parse_dotted, to_u32, write_binary
 
 ADDRESSES_PER_OCTET = 1 << 24
 _TEXT_CHUNK = 1 << 20
@@ -175,7 +175,7 @@ def write_truth(path, distinct: np.ndarray, counts: np.ndarray) -> None:
     order = np.lexsort((distinct.astype(np.int64), -counts.astype(np.int64)))
     with open(path, "w", encoding="utf-8") as handle:
         for value, count in zip(distinct[order].tolist(), counts[order].tolist()):
-            handle.write(f"{format_dotted(from_u32(value))}\t{count}\n")
+            handle.write(f"{from_u32(value)}\t{count}\n")
 
 
 def load_truth(path) -> list[tuple[int, int]]:
@@ -197,6 +197,8 @@ def load_truth(path) -> list[tuple[int, int]]:
 def verify(dataset_path, truth_path) -> dict:
     """Recount a dataset with the hash baseline and check the sidecar."""
     truth = load_truth(truth_path)
+    if not truth:
+        raise GroundTruthMismatch(f"{truth_path}: the sidecar lists no addresses")
     counter = HashCounter()
     stream = open_stream(dataset_path)
     for batch in stream.batches():
@@ -212,7 +214,7 @@ def verify(dataset_path, truth_path) -> dict:
         value, expected, actual = mismatches[0]
         raise GroundTruthMismatch(
             f"{len(mismatches)} addresses disagree with the truth file; first: "
-            f"{format_dotted(from_u32(value))} expected {expected}, counted {actual}"
+            f"{from_u32(value)} expected {expected}, counted {actual}"
         )
     if seen != stream.records_read:
         raise GroundTruthMismatch(

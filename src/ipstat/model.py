@@ -14,19 +14,19 @@ Two record file formats are supported:
   count, then that many 4-byte little-endian address words.
 
 Text is read in 8 MiB chunks, one batch each, and every chunk is decoded
-in line-aligned slices of about 512 KiB. A slice holding nothing but plain
-``a.b.c.d`` lines is decoded on a vectorized path: the separators are found
-once and each part's value is computed from shifted views of the slice.
-Any other slice falls back, on its own, to a per-line parser with exact
-error positions, so an odd line costs per-line parsing of its slice only.
-Both paths produce identical addresses and accept or reject a record by
-its own bytes alone.
+in line-aligned slices of about 512 KiB. A vectorized path only accepts or
+declines a slice: it takes one of plain ``a.b.c.d`` lines with parts up to
+255, finding the separators once and computing each part from shifted
+views of the slice. Any slice it declines goes to the per-line parser,
+which alone decides every rejection and lenient skip. So an odd line costs
+per-line parsing of its own slice only, and a record is accepted or
+rejected by its own bytes. Decoders return their skip counts with their
+values.
 """
 
 from __future__ import annotations
 
 import mmap
-import weakref
 from typing import BinaryIO, Iterator, NamedTuple
 
 import numpy as np
@@ -76,11 +76,6 @@ def from_u32(value: int) -> IPv4Address:
     return IPv4Address((value >> 24) & 0xFF, (value >> 16) & 0xFF, (value >> 8) & 0xFF, value & 0xFF)
 
 
-def format_dotted(addr: IPv4Address) -> str:
-    """Canonical text form, no zero padding."""
-    return str(addr)
-
-
 def parse_dotted(text: str) -> IPv4Address:
     """Parse the leading dotted quad of a record line.
 
@@ -108,12 +103,13 @@ def parse_dotted(text: str) -> IPv4Address:
 class RecordStream:
     """Single-consumer stream of addresses from one pass over a source.
 
-    ``batches()`` yields uint32 arrays in file order and ``read_all()``
-    drains them into one. ``records_read`` counts yielded records,
-    ``malformed_skipped`` counts records dropped in lenient mode.
+    ``batches()`` yields the non-empty uint32 arrays of a decoder's
+    ``(array, skipped)`` pairs in file order; ``read_all()`` drains them
+    into one. ``records_read`` counts yielded records, ``malformed_skipped``
+    sums the skip counts (records dropped in lenient mode).
     """
 
-    def __init__(self, batches: Iterator[np.ndarray]):
+    def __init__(self, batches: Iterator[tuple[np.ndarray, int]]):
         self._batches = batches
         self.records_read = 0
         self.malformed_skipped = 0
@@ -123,31 +119,26 @@ class RecordStream:
         if self._consumed:
             raise RuntimeError("RecordStream is single-consumer and was already read")
         self._consumed = True
-        for batch in self._batches:
-            self.records_read += batch.size
-            yield batch
+        for batch, skipped in self._batches:
+            self.malformed_skipped += skipped
+            if batch.size:
+                self.records_read += batch.size
+                yield batch
 
     def read_all(self) -> np.ndarray:
         """Drain the stream into one uint32 array."""
-        parts = list(self.batches())
-        if not parts:
-            return np.empty(0, dtype=np.uint32)
-        return np.concatenate(parts)
+        return np.concatenate([np.empty(0, dtype=np.uint32), *self.batches()])
 
 
-def open_stream(
-    path,
-    fmt: str = "auto",
-    lenient: bool = False,
-    batch_records: int = BATCH_RECORDS,
-) -> RecordStream:
+def open_stream(path, fmt: str = "auto", lenient: bool = False) -> RecordStream:
     """Open a record file as a stream of addresses.
 
-    fmt is "text", "binary", or "auto" (sniff the binary magic). In strict
-    mode (default) the first malformed entry raises with its line number;
-    in lenient mode malformed lines are counted and skipped.
-    ``batch_records`` sizes binary batches only: text yields one batch per
-    TEXT_CHUNK_BYTES (8 MiB) chunk read.
+    fmt is "text", "binary", or "auto" (sniff the binary magic). Whether a
+    text record is malformed is decided by the per-line parser: in strict
+    mode (default) the first malformed line raises with its line number; in
+    lenient mode malformed lines are counted and skipped. Text yields one
+    batch per TEXT_CHUNK_BYTES (8 MiB) chunk read, binary one per
+    BATCH_RECORDS records.
     """
     if fmt not in ("auto", "text", "binary"):
         raise ValueError(f"unknown format {fmt!r}")
@@ -160,14 +151,8 @@ def open_stream(
     except Exception:
         handle.close()
         raise
-    stream = RecordStream(iter(()))
-    if fmt == "binary":
-        stream._batches = _binary_batches(handle, lenient, batch_records)
-    else:
-        # a strong reference would make a cycle, and a stream dropped part-way
-        # (a failed query) would keep its file open until the cyclic GC ran
-        stream._batches = _text_batches(handle, weakref.proxy(stream), lenient)
-    return stream
+    decode = _binary_batches if fmt == "binary" else _text_batches
+    return RecordStream(decode(handle, lenient))
 
 
 def aggregate(batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -198,19 +183,19 @@ def checked_add(current: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return current + counts
 
 
-def _binary_batches(handle: BinaryIO, lenient: bool, batch_records: int) -> Iterator[np.ndarray]:
+def _binary_batches(handle: BinaryIO, lenient: bool) -> Iterator[tuple[np.ndarray, int]]:
     with handle:
         header = handle.read(8)
         if len(header) < 8 or header[:4] != BINARY_MAGIC:
             raise BinaryFormatError("missing IPR1 magic header")
         remaining = int.from_bytes(header[4:8], "little")
         while remaining:
-            take = min(batch_records, remaining)
+            take = min(BATCH_RECORDS, remaining)
             data = handle.read(4 * take)
             if len(data) < 4 * take:
                 raise BinaryFormatError(f"truncated body: {remaining} of the declared records missing")
             remaining -= take
-            yield np.frombuffer(data, dtype="<u4").astype(np.uint32, copy=False)
+            yield np.frombuffer(data, dtype="<u4").astype(np.uint32, copy=False), 0
         if not lenient and handle.read(1):
             raise BinaryFormatError("trailing bytes after the declared record count")
 
@@ -226,7 +211,7 @@ def write_binary(path, addresses: np.ndarray) -> None:
         handle.write(arr.astype("<u4", copy=False).tobytes())
 
 
-def _text_batches(handle: BinaryIO, stream: RecordStream, lenient: bool) -> Iterator[np.ndarray]:
+def _text_batches(handle: BinaryIO, lenient: bool) -> Iterator[tuple[np.ndarray, int]]:
     with handle:
         # Chunks are read into one anonymous mapping, not into fresh bytes
         # objects: freeing an 8 MiB malloc block raises glibc's dynamic mmap
@@ -252,41 +237,41 @@ def _text_batches(handle: BinaryIO, stream: RecordStream, lenient: bool) -> Iter
             if cut < 0:
                 held = stop
                 continue
-            arr, lines = _parse_text_chunk(buf, cut + 1, line_base, lenient, stream)
+            arr, lines, skipped = _parse_text_chunk(buf, cut + 1, line_base, lenient)
             line_base += lines
             held = stop - cut - 1
             buf.move(0, cut + 1, held)
-            if arr.size:
-                yield arr
+            yield arr, skipped
         if held:
             # final record without a trailing newline
             buf[held : held + 1] = b"\n"
-            arr, _ = _parse_text_chunk(buf, held + 1, line_base, lenient, stream)
-            if arr.size:
-                yield arr
+            arr, _, skipped = _parse_text_chunk(buf, held + 1, line_base, lenient)
+            yield arr, skipped
 
 
-def _parse_text_chunk(chunk: mmap.mmap, stop: int, line_base: int, lenient: bool, stream: RecordStream):
-    """Parse chunk[:stop], which ends in LF, slice by slice; returns (uint32 array, line count).
+def _parse_text_chunk(chunk: mmap.mmap, stop: int, line_base: int, lenient: bool):
+    """Parse chunk[:stop], which ends in LF; returns (uint32 array, line count, skipped).
 
     A slice ends at the first LF that makes it TEXT_SLICE_BYTES long or
-    longer, and is decoded on its own.
+    longer, and is decoded on its own. The result depends only on the
+    bytes, ``line_base`` and ``lenient``.
     """
     view = memoryview(chunk)
     parts = []
-    lines = 0
+    lines = skipped = 0
     start = 0
     while start < stop:
         end = chunk.find(b"\n", min(start + TEXT_SLICE_BYTES, stop) - 1, stop) + 1
-        arr, count = _parse_text_block(view[start:end], line_base + lines, lenient, stream)
+        arr, count, dropped = _parse_text_block(view[start:end], line_base + lines, lenient)
         parts.append(arr)
         lines += count
+        skipped += dropped
         start = end
-    return np.concatenate(parts), lines
+    return np.concatenate(parts), lines, skipped
 
 
-def _parse_text_block(block: memoryview, line_base: int, lenient: bool, stream: RecordStream):
-    """Parse one slice of whole lines; returns (uint32 array, line count)."""
+def _parse_text_block(block: memoryview, line_base: int, lenient: bool):
+    """Parse one slice of whole lines; returns (uint32 array, line count, skipped)."""
     raw = np.frombuffer(block, dtype=np.uint8)
     lines = np.count_nonzero(raw == _LF)
     strays = np.count_nonzero(raw == _CR)
@@ -298,20 +283,21 @@ def _parse_text_block(block: memoryview, line_base: int, lenient: bool, stream: 
         strays -= crlf.size
     digits = np.count_nonzero(raw - np.uint8(_DIGIT0) <= 9)
     if not strays and lines + np.count_nonzero(raw == _DOT) + digits == raw.size:
-        arr = _parse_pure_block(raw, lines, line_base, lenient, stream)
+        arr = _parse_pure_block(raw, lines)
         if arr is not None:
-            return arr, lines
-    return _parse_lines(block, line_base, lenient, stream), lines
+            return arr, lines, 0
+    arr, skipped = _parse_lines(block, line_base, lenient)
+    return arr, lines, skipped
 
 
-def _parse_pure_block(raw: np.ndarray, lines: int, line_base: int, lenient: bool, stream: RecordStream):
+def _parse_pure_block(raw: np.ndarray, lines: int):
     """Vectorized decode of a slice holding only digits, dots and LF, ending in LF.
 
     Finds the separators once, then computes the value of the part that
     ends at each separator over the whole slice, from shifted views of it.
     Returns None unless every line is four dot-separated parts of one to
-    three digits; the caller then re-parses the slice line by line (which
-    also produces the precise diagnostics).
+    three digits, each at most 255; the caller then parses the slice line
+    by line, which decides what is malformed.
     """
     # three leading LFs let every shifted view start before the first byte
     pad = np.empty(raw.size + 3, dtype=np.uint8)
@@ -331,18 +317,14 @@ def _parse_pure_block(raw: np.ndarray, lines: int, line_base: int, lenient: bool
     # the last term only when pad[i-2] is a digit too
     values = (digit[2:-1] + 10 * digit[1:-2] + 100 * digit[:-3] * dig[1:-2])[at]
     if values.max() > 255:
-        if not lenient:
-            bad = int(np.argmax(values > 255)) // 4
-            raise OctetOutOfRange("dotted-quad part exceeds 255", line_number=line_base + bad + 1)
-        good = (values <= 255).reshape(-1, 4).all(axis=1)
-        stream.malformed_skipped += int((~good).sum())
-        values = values.reshape(-1, 4)[good].ravel()
+        return None
     # each line's four octets, read as one big-endian word
     return values.astype(np.uint8).view(">u4").astype(np.uint32)
 
 
-def _parse_lines(block: memoryview, line_base: int, lenient: bool, stream: RecordStream) -> np.ndarray:
+def _parse_lines(block: memoryview, line_base: int, lenient: bool) -> tuple[np.ndarray, int]:
     out = []
+    skipped = 0
     text = str(block, "utf-8", errors="replace")
     for offset, line in enumerate(text.split("\n")):
         line = line.strip()
@@ -352,42 +334,40 @@ def _parse_lines(block: memoryview, line_base: int, lenient: bool, stream: Recor
             out.append(to_u32(parse_dotted(line)))
         except MalformedAddress as exc:
             if lenient:
-                stream.malformed_skipped += 1
+                skipped += 1
                 continue
             raise type(exc)(exc.args[0], line_number=line_base + offset + 1) from None
-    return np.array(out, dtype=np.uint32)
+    return np.array(out, dtype=np.uint32), skipped
 
 
 class FileSource:
     """Replayable record source backed by a file path.
 
     ``open()`` starts a fresh pass and bumps ``replays``; every query
-    method, ssmb included, opens its source once. ``batch_records`` applies
-    to binary files only; a text file yields one batch per 8 MiB chunk.
+    method, ssmb included, opens its source once. Each pass decodes as
+    ``open_stream`` does; the per-line parser decides every rejection.
     """
 
-    def __init__(self, path, fmt: str = "auto", lenient: bool = False, batch_records: int = BATCH_RECORDS):
+    def __init__(self, path, fmt: str = "auto", lenient: bool = False):
         self.path = path
         self.fmt = fmt
         self.lenient = lenient
-        self.batch_records = batch_records
         self.replays = 0
 
     def open(self) -> RecordStream:
         self.replays += 1
-        return open_stream(self.path, self.fmt, self.lenient, self.batch_records)
+        return open_stream(self.path, self.fmt, self.lenient)
 
 
 class ArraySource:
-    """Replayable record source over an in-memory uint32 array."""
+    """Replayable record source over an in-memory uint32 array, BATCH_RECORDS a batch."""
 
-    def __init__(self, addresses: np.ndarray, batch_records: int = BATCH_RECORDS):
+    def __init__(self, addresses: np.ndarray):
         self._values = np.ascontiguousarray(addresses, dtype=np.uint32)
-        self.batch_records = batch_records
         self.replays = 0
 
     def open(self) -> RecordStream:
         self.replays += 1
-        values, step = self._values, self.batch_records
-        return RecordStream(values[i : i + step] for i in range(0, max(values.size, 1), step))
+        values, step = self._values, BATCH_RECORDS
+        return RecordStream((values[i : i + step], 0) for i in range(0, values.size, step))
 

@@ -13,6 +13,7 @@ from ipstat import (
     CountOverflow,
     DatasetSpec,
     FileSource,
+    InvalidPlan,
     TlmbCounter,
     ValidationFailure,
     generate,
@@ -53,9 +54,19 @@ class TestRunMethod:
             parallel, stats = run_method(path, method, 10, workers=2)
             assert parallel == serial, method
             assert stats["records_ingested"] == 30_000
+            assert stats.keys() >= serial_stats.keys() | {"workers"}, method
             # the workers share one spill, so it is reported once, not per worker
-            assert stats.get("spill_bytes") == serial_stats.get("spill_bytes"), method
+            for key in ("records_ingested", "q", "passes", "allocated_second_blocks", "first_layer_bytes", "spill_bytes"):
+                assert stats.get(key) == serial_stats.get(key), (method, key)
         assert serial_stats["spill_bytes"] > 0
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    @pytest.mark.parametrize("method", ["tlmb", "ssmb", "hash", "ipmap"])
+    def test_worker_count_below_one_is_rejected_before_opening(self, dataset, method, workers):
+        source = FileSource(dataset[0])
+        with pytest.raises(InvalidPlan, match="worker count must be at least 1"):
+            query(source, method, 10, workers)
+        assert source.replays == 0
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_failed_text_query_closes_its_file(self, tmp_path, monkeypatch, workers):

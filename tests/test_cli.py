@@ -205,6 +205,25 @@ class TestBench:
         assert err.value.code == 1
         assert "must be at least 0, got -5" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "option, value, message",
+        [
+            ("--methods", ",", "expected comma-separated methods"),
+            ("--k", ",", "expected comma-separated integers of at least 1"),
+            ("--k", "10,0", "expected comma-separated integers of at least 1"),
+        ],
+    )
+    def test_empty_or_nonpositive_lists_exit_1(self, tmp_path, capsys, option, value, message):
+        argv = {"--methods": "tlmb", "--k": "1"}
+        argv[option] = value
+        csv_path = tmp_path / "rows.csv"
+        with pytest.raises(SystemExit) as err:
+            run_cli("bench", "--input", "x", "--truth", "y", "--methods", argv["--methods"],
+                    "--k", argv["--k"], "--reps", "1", "--csv", str(csv_path))
+        assert err.value.code == 1
+        assert message in capsys.readouterr().err
+        assert not csv_path.exists()
+
 
 class TestVerify:
     def test_verify_matching_pair(self, tmp_path, capsys):
@@ -220,6 +239,13 @@ class TestVerify:
         run_cli("gen", "--records", "1000", "--distinct", "10", "--seed", "1", "--out", str(data))
         data.write_text("1.2.3.4\n")
         assert run_cli("verify", "--input", str(data), "--truth", str(data) + ".truth") == 3
+
+    def test_verify_empty_sidecar_exits_3(self, tmp_path, capsys):
+        data, truth = tmp_path / "d.txt", tmp_path / "d.txt.truth"
+        data.write_text("")
+        truth.write_text("")
+        assert run_cli("verify", "--input", str(data), "--truth", str(truth)) == 3
+        assert f"{truth}: the sidecar lists no addresses" in capsys.readouterr().err
 
 
 class TestConsoleScript:

@@ -1,6 +1,7 @@
 """The aggregation kernel and each counter's scatter step against a Counter oracle."""
 
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import as_pairs, oracle_counts, oracle_top_k, property_settings
 from ipstat import ArraySource, CountOverflow, IpMapCounter, SsmbCounter, TlmbCounter, from_u32
+from ipstat import model
 from ipstat.model import aggregate
 
 # few first octets, so each ipmap/ssmb example touches at most four 128 MiB blocks
@@ -131,8 +133,9 @@ def test_ssmb_scatter(ssmb_counter, batches, batch_records):
         assert stats["slot_sum"] == stats["pass_records"]
         passes[octet] = stats["pass_records"]
 
-    source = ArraySource(np.array(records, dtype=np.uint32), batch_records=batch_records)
-    entries = ssmb_counter.top_k(source, len(oracle) + 1, pass_hook=hook)
+    source = ArraySource(np.array(records, dtype=np.uint32))
+    with mock.patch.object(model, "BATCH_RECORDS", batch_records):
+        entries = ssmb_counter.top_k(source, len(oracle) + 1, pass_hook=hook)
     assert as_pairs(entries) == oracle_top_k(records, len(oracle) + 1)
     assert passes == per_octet(oracle)
     assert ssmb_counter.stats()["records_ingested"] == len(records)

@@ -16,7 +16,6 @@ from ipstat import (
     IPv4Address,
     MalformedAddress,
     OctetOutOfRange,
-    format_dotted,
     from_u32,
     open_stream,
     parse_dotted,
@@ -48,7 +47,7 @@ class TestAddressForm:
         rng = np.random.default_rng(102)
         for value in rng.integers(0, 2**32, size=2000, dtype=np.uint64).tolist():
             addr = from_u32(value)
-            assert parse_dotted(format_dotted(addr)) == addr
+            assert parse_dotted(str(addr)) == addr
 
     def test_parse_ignores_attribute_tail(self):
         assert parse_dotted("10.0.0.7 GET /index") == IPv4Address(10, 0, 0, 7)
@@ -111,12 +110,13 @@ class TestTextFormat:
         assert "line 1" in str(err.value)
 
     def test_strict_octet_out_of_range_in_clean_file(self, tmp_path):
-        # the all-digits file exercises the vectorized path's range check
+        # the vectorized path declines the all-digits slice; the per-line parser reports it
         path = tmp_path / "range.txt"
         path.write_text("1.1.1.1\n2.2.2.300\n")
         with pytest.raises(OctetOutOfRange) as err:
             open_stream(path).read_all()
         assert "line 2" in str(err.value)
+        assert "part '300' exceeds 255 in '2.2.2.300'" in str(err.value)
 
     def test_lenient_counts_skips(self, tmp_path):
         path = tmp_path / "mixed.txt"
@@ -234,6 +234,11 @@ class TestDecoderDifferential:
     # a part above 255 in a later pure slice
     @example(_PURE + _PURE + b"3.3.3.300\n" + _PURE, 8 << 20, 16, False)
     @example(_PURE + _PURE + b"3.3.3.300\n" + _PURE, 8 << 20, 16, True)
+    # lenient, a first chunk of malformed lines only: skips counted, no batch yielded
+    @example(b"bad\n1.2.3\nx.y\n" + _PURE, 17, 512 << 10, True)
+    # a part above 255 in the last line of a chunk
+    @example(_PURE + b"4.4.4.256\n" + _PURE, 30, 512 << 10, False)
+    @example(_PURE + b"4.4.4.256\n" + _PURE, 30, 512 << 10, True)
     def test_vectorized_matches_per_line(self, path, data, chunk_bytes, slice_bytes, lenient):
         path.write_bytes(data)
 

@@ -1,5 +1,7 @@
 """Partition plans and serial-parallel equivalence."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -15,6 +17,7 @@ from ipstat import (
     run_parallel,
     to_u32,
 )
+from ipstat import model
 
 
 def cut(plan: PartitionPlan, addresses) -> list[list[int]]:
@@ -123,7 +126,8 @@ def routed_inputs(draw):
 @given(routed_inputs(), st.integers(1, 8))
 def test_routing_matches_oracle(case, k):
     r, batch_records, values = case
-    merged, results = run_parallel(ArraySource(values, batch_records=batch_records), PartitionPlan.by_prefix_bits(r), k)
+    with mock.patch.object(model, "BATCH_RECORDS", batch_records):
+        merged, results = run_parallel(ArraySource(values), PartitionPlan.by_prefix_bits(r), k)
     assert as_pairs(merged) == oracle_top_k(values, k)
     owners = (values.astype(np.uint64) >> np.uint64(32 - r)).astype(np.int64)
     assert [w.stats["records_ingested"] for w in results] == np.bincount(owners, minlength=1 << r).tolist()

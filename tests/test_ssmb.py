@@ -4,6 +4,7 @@ import os
 import sys
 import tempfile
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -203,7 +204,7 @@ def shared_counter():
 )
 def test_spill_backed_top_k_matches_oracle(shared_counter, records, batch_records, octets, k, prebuilt):
     values = np.array(records, dtype=np.uint32)
-    source = ArraySource(values, batch_records=batch_records)
+    source = ArraySource(values)
     planned = set(records if octets is None else (v for v in records if v >> 24 in octets))
     planned_records = [v for v in records if v in planned]
     passes = {}
@@ -212,11 +213,12 @@ def test_spill_backed_top_k_matches_oracle(shared_counter, records, batch_record
         assert stats["slot_sum"] == stats["pass_records"]
         passes[octet] = stats["pass_records"]
 
-    if prebuilt:
-        with OctetSpill.build(source) as spill:
-            entries = shared_counter.top_k(spill, k, octets=octets, pass_hook=hook)
-    else:
-        entries = shared_counter.top_k(source, k, octets=octets, pass_hook=hook)
+    with mock.patch.object(ipstat.model, "BATCH_RECORDS", batch_records):
+        if prebuilt:
+            with OctetSpill.build(source) as spill:
+                entries = shared_counter.top_k(spill, k, octets=octets, pass_hook=hook)
+        else:
+            entries = shared_counter.top_k(source, k, octets=octets, pass_hook=hook)
     stats = shared_counter.stats()
     assert as_pairs(entries) == oracle_top_k(planned_records, k)
     assert stats["records_ingested"] == len(planned_records)
@@ -230,9 +232,10 @@ def test_spill_backed_top_k_matches_oracle(shared_counter, records, batch_record
 
 
 class TestSpill:
-    def test_runs_filed_by_octet_across_batches(self):
+    def test_runs_filed_by_octet_across_batches(self, monkeypatch):
         values = addresses_of("7.0.0.1", "9.0.0.2", "7.0.0.1", "7.0.0.3", "9.0.0.2")
-        with OctetSpill.build(ArraySource(values, batch_records=2)) as spill:
+        monkeypatch.setattr(ipstat.model, "BATCH_RECORDS", 2)
+        with OctetSpill.build(ArraySource(values)) as spill:
             assert spill.octets == [7, 9]
             runs = {octet: Counter() for octet in spill.octets}
             for octet in spill.octets:
@@ -242,10 +245,11 @@ class TestSpill:
             assert runs == {7: Counter({1: 2, 3: 1}), 9: Counter({2: 2})}
             assert list(spill.runs(8)) == []
 
-    def test_workers_share_one_spill(self):
+    def test_workers_share_one_spill(self, monkeypatch):
         rng = np.random.default_rng(407)
         values = random_addresses(rng, 4000, first_octet_cap=6)
-        source = ArraySource(values, batch_records=97)
+        source = ArraySource(values)
+        monkeypatch.setattr(ipstat.model, "BATCH_RECORDS", 97)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # interleave the workers' reads of the shared spill
         try:
