@@ -11,7 +11,7 @@
   first-octet boundaries and each slice is scattered into its own block.
   Lookups are pure indexing, but memory is 134,217,728 bytes per distinct
   first octet, which is what makes it a foil for the subset-scan counter
-  that reuses a single block.
+  that reuses a single block (and whose block size and sweep it shares).
 
 Both expose the same ingest_many/count/top_k/stats surface as ``TlmbCounter``,
 so the query driver (``bench.query``) runs them through one loop.
@@ -26,10 +26,8 @@ import numpy as np
 
 from .errors import AllocationFailure
 from .model import IPv4Address, aggregate, checked_add, octet_runs, to_u32
+from .ssmb import BLOCK_BYTES, BLOCK_SLOTS, offer_block
 from .topk import HeapEntry, TopKHeap
-
-BLOCK_SLOTS = 1 << 24
-BLOCK_BYTES = BLOCK_SLOTS * 8
 
 
 class HashCounter:
@@ -106,10 +104,7 @@ class IpMapCounter:
         """Global top-k: every block's non-zero slots offered to one heap."""
         heap = TopKHeap(k)
         for octet in sorted(self._blocks):
-            block = self._blocks[octet]
-            hits = np.flatnonzero(block)
-            if hits.size:
-                heap.offer_many(np.uint32(octet << 24) | hits.astype(np.uint32), block[hits])
+            offer_block(heap, self._blocks[octet], octet)
         return heap.drain_sorted()
 
     def stats(self) -> dict:

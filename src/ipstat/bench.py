@@ -122,7 +122,6 @@ def run_bench(
     reps: int,
     workers: int = 1,
     warmup: int = 0,
-    fmt: str = "auto",
 ) -> list[BenchRow]:
     """Benchmark every (method, k) cell; the first and every timed answer are validated."""
     if reps < 1:
@@ -132,14 +131,14 @@ def run_bench(
     for method in methods:
         for k in ks:
             label = f"{method} k={k} workers={workers}"
-            entries, stats = run_method(input_path, method, k, workers, fmt)
+            entries, stats = run_method(input_path, method, k, workers)
             validate_entries(entries, truth, k, label)
             for _ in range(warmup):
-                run_method(input_path, method, k, workers, fmt)
+                run_method(input_path, method, k, workers)
             times = []
             for _ in range(reps):
                 started = time.perf_counter()
-                entries, stats = run_method(input_path, method, k, workers, fmt)
+                entries, stats = run_method(input_path, method, k, workers)
                 times.append(time.perf_counter() - started)
                 validate_entries(entries, truth, k, label)
             rows.append(

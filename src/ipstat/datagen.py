@@ -179,7 +179,11 @@ def write_truth(path, distinct: np.ndarray, counts: np.ndarray) -> None:
 
 
 def load_truth(path) -> list[tuple[int, int]]:
-    """Read a ground-truth sidecar as (address u32, count) pairs, file order."""
+    """Read a ground-truth sidecar as (address u32, count) pairs, file order.
+
+    The sidecar must be a ranking: counts of at least 1, by descending
+    count, ties by ascending address; GroundTruthMismatch names the line.
+    """
     pairs = []
     with open(path, encoding="utf-8") as handle:
         for number, line in enumerate(handle, start=1):
@@ -188,9 +192,14 @@ def load_truth(path) -> list[tuple[int, int]]:
                 continue
             try:
                 dotted, count = line.split("\t")
-                pairs.append((to_u32(parse_dotted(dotted)), int(count)))
+                pair = (to_u32(parse_dotted(dotted)), int(count))
             except (ValueError, MalformedAddress):
                 raise GroundTruthMismatch(f"{path}: bad truth line {number}: {line!r}") from None
+            if pair[1] < 1:
+                raise GroundTruthMismatch(f"{path}: truth line {number} has a count below 1: {line!r}")
+            if pairs and (-pairs[-1][1], pairs[-1][0]) >= (-pair[1], pair[0]):
+                raise GroundTruthMismatch(f"{path}: truth line {number} is out of ranking order: {line!r}")
+            pairs.append(pair)
     return pairs
 
 

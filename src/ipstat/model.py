@@ -14,14 +14,14 @@ Two record file formats are supported:
   count, then that many 4-byte little-endian address words.
 
 Text is read in 8 MiB chunks, one batch each, and every chunk is decoded
-in line-aligned slices of about 512 KiB. A vectorized path only accepts or
-declines a slice: it takes one of plain ``a.b.c.d`` lines with parts up to
-255, finding the separators once and computing each part from shifted
-views of the slice. Any slice it declines goes to the per-line parser,
-which alone decides every rejection and lenient skip. So an odd line costs
-per-line parsing of its own slice only, and a record is accepted or
-rejected by its own bytes. Decoders return their skip counts with their
-values.
+in line-aligned slices of about 512 KiB. A vectorized kernel classifies
+every byte of a slice (the CR of each CRLF dropped) and only accepts or
+declines it: it accepts plain ``a.b.c.d`` lines with parts up to 255,
+computing each part from shifted views of the slice. Any slice it
+declines goes to the per-line parser, which alone decides every rejection
+and lenient skip. So an odd line costs per-line parsing of its own slice
+only, and a record is accepted or rejected by its own bytes. Decoders
+return their skip counts with their values.
 """
 
 from __future__ import annotations
@@ -253,8 +253,8 @@ def _parse_text_chunk(chunk: mmap.mmap, stop: int, line_base: int, lenient: bool
     """Parse chunk[:stop], which ends in LF; returns (uint32 array, line count, skipped).
 
     A slice ends at the first LF that makes it TEXT_SLICE_BYTES long or
-    longer, and is decoded on its own. The result depends only on the
-    bytes, ``line_base`` and ``lenient``.
+    longer, and is decoded on its own, by the kernel or else line by line.
+    The result depends only on the bytes, ``line_base`` and ``lenient``.
     """
     view = memoryview(chunk)
     parts = []
@@ -262,52 +262,38 @@ def _parse_text_chunk(chunk: mmap.mmap, stop: int, line_base: int, lenient: bool
     start = 0
     while start < stop:
         end = chunk.find(b"\n", min(start + TEXT_SLICE_BYTES, stop) - 1, stop) + 1
-        arr, count, dropped = _parse_text_block(view[start:end], line_base + lines, lenient)
+        raw = np.frombuffer(view[start:end], dtype=np.uint8)
+        count = np.count_nonzero(raw == _LF)
+        if chunk.find(b"\r", start, end) >= 0:
+            raw = np.delete(raw, np.flatnonzero((raw[:-1] == _CR) & (raw[1:] == _LF)))
+        arr = _parse_pure_block(raw, count)
+        if arr is None:
+            arr, dropped = _parse_lines(view[start:end], line_base + lines, lenient)
+            skipped += dropped
         parts.append(arr)
         lines += count
-        skipped += dropped
         start = end
     return np.concatenate(parts), lines, skipped
 
 
-def _parse_text_block(block: memoryview, line_base: int, lenient: bool):
-    """Parse one slice of whole lines; returns (uint32 array, line count, skipped)."""
-    raw = np.frombuffer(block, dtype=np.uint8)
-    lines = np.count_nonzero(raw == _LF)
-    strays = np.count_nonzero(raw == _CR)
-    if strays:
-        # only a CR ending its line is dropped; a stray one sends the slice
-        # to the per-line parser, which rejects it wherever it sits
-        crlf = np.flatnonzero((raw[:-1] == _CR) & (raw[1:] == _LF))
-        raw = np.delete(raw, crlf)
-        strays -= crlf.size
-    digits = np.count_nonzero(raw - np.uint8(_DIGIT0) <= 9)
-    if not strays and lines + np.count_nonzero(raw == _DOT) + digits == raw.size:
-        arr = _parse_pure_block(raw, lines)
-        if arr is not None:
-            return arr, lines, 0
-    arr, skipped = _parse_lines(block, line_base, lenient)
-    return arr, lines, skipped
-
-
 def _parse_pure_block(raw: np.ndarray, lines: int):
-    """Vectorized decode of a slice holding only digits, dots and LF, ending in LF.
+    """Vectorized decode of any slice of whole lines; ``lines`` is its LF count.
 
-    Finds the separators once, then computes the value of the part that
-    ends at each separator over the whole slice, from shifted views of it.
-    Returns None unless every line is four dot-separated parts of one to
-    three digits, each at most 255; the caller then parses the slice line
-    by line, which decides what is malformed.
+    Classifies each byte as a digit or a separator, finds the separators
+    once, then computes the value of the part ending at each one from
+    shifted views of the slice. Returns None unless every line is four
+    dot-separated parts of one to three digits, each at most 255; the caller
+    then parses the slice line by line, which decides what is malformed.
     """
     # three leading LFs let every shifted view start before the first byte
     pad = np.empty(raw.size + 3, dtype=np.uint8)
     pad[:3] = _LF
     pad[3:] = raw
-    sep = pad < _DIGIT0
-    dig = ~sep
+    dig = pad - np.uint8(_DIGIT0) <= 9
+    sep = ~dig
     at = np.flatnonzero(sep[3:])
-    # with as many separators as four per LF, the LFs are every fourth one
-    if at.size != 4 * lines or (raw[at[3::4]] != _LF).any():
+    # four separators a line, every fourth the LF and the other three dots
+    if at.size != 4 * lines or (raw[at[3::4]] != _LF).any() or np.count_nonzero(raw == _DOT) != 3 * lines:
         return None
     # one to three digits a part: no separator right after another, no four digits in a row
     if (sep[3:] & sep[2:-1]).any() or (dig[3:] & dig[2:-1] & dig[1:-2] & dig[:-3]).any():

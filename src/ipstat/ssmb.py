@@ -8,11 +8,12 @@ The input is decoded once, into a spill (``OctetSpill``). Each batch is
 aggregated (``model.aggregate``); its ascending distinct addresses are cut
 at first-octet boundaries, and each slice is appended as (low-24 slot,
 count) runs to one unlinked temporary file, with an in-memory index of
-every first octet's runs. The first octets present fall out of this pass,
-so no separate discovery pass is needed. Each subset pass then zeroes the
-whole block, reads back only its own octet's runs, adds them at slot
-b*65536 + c*256 + d (the low 24 bits of the address), and offers the
-block's non-zero slots to one top-k heap shared by all passes.
+every first octet's runs; ``spilled(source)`` builds the spill and closes
+it. The first octets present fall out of this pass, so no separate
+discovery pass is needed. Each subset pass then zeroes the whole block,
+reads back only its own octet's runs, adds them at slot b*65536 + c*256 + d
+(the low 24 bits of the address), and offers the block's non-zero slots to
+one top-k heap shared by all passes (``offer_block``, ipmap's sweep too).
 
 Because each address belongs to exactly one subset, the heap ends up
 holding the global top-k, while tracked memory stays a flat 134,217,728
@@ -58,8 +59,8 @@ class OctetSpill:
     Batch by batch, each first octet's distinct low-24 slots and their
     counts are appended as one segment of ``RUN`` entries to an unlinked
     temporary file. ``runs(octet)`` reads that octet's segments back with
-    ``os.pread``, so threads can share one spill. ``close()`` (or leaving a
-    with-block) releases the file.
+    ``os.pread``, so threads can share one spill. ``spilled(source)`` builds
+    a spill and closes it, which releases the file.
     """
 
     def __init__(self):
@@ -67,19 +68,6 @@ class OctetSpill:
         # first octet -> [(file offset, run entries)], in append order
         self._index: dict[int, list[tuple[int, int]]] = {}
         self.spill_bytes = 0
-
-    @classmethod
-    def build(cls, source) -> "OctetSpill":
-        """Decode one pass of ``source`` into a new spill."""
-        spill = cls()
-        try:
-            for batch in source.open().batches():
-                spill.append(batch)
-            spill._file.flush()
-        except BaseException:
-            spill.close()
-            raise
-        return spill
 
     def append(self, batch: np.ndarray) -> None:
         values, counts = aggregate(batch)
@@ -108,24 +96,33 @@ class OctetSpill:
             segment = np.frombuffer(data, dtype=RUN)
             yield segment["slot"], segment["count"]
 
-    def close(self) -> None:
-        self._file.close()
-
-    def __enter__(self) -> "OctetSpill":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
 
 @contextmanager
 def spilled(source) -> Iterator[OctetSpill]:
-    """``source`` itself if it is a spill, else a spill of it, closed on exit."""
+    """``source`` itself if it is a spill, else a spill of one pass of it, closed on exit."""
     if isinstance(source, OctetSpill):
         yield source
-    else:
-        with OctetSpill.build(source) as spill:
-            yield spill
+        return
+    spill = OctetSpill()
+    try:
+        for batch in source.open().batches():
+            spill.append(batch)
+        batch = None  # this frame outlives every pass: let the last batch go
+        spill._file.flush()
+        yield spill
+    finally:
+        spill._file.close()
+
+
+def offer_block(heap: TopKHeap, block: np.ndarray, octet: int) -> int:
+    """Offer a count block's non-zero slots to ``heap``; returns their sum.
+
+    Slot s of the 2**24-slot block counts the address ``octet << 24 | s``.
+    """
+    hits = np.flatnonzero(block)
+    values = block[hits]
+    heap.offer_many(np.uint32(octet << 24) | hits.astype(np.uint32), values)
+    return int(values.sum())
 
 
 class SsmbCounter:
@@ -195,14 +192,7 @@ class SsmbCounter:
             pass_records += int(counts.sum())
         self._records += pass_records
         self._passes += 1
-        hits = np.flatnonzero(block)
-        slot_sum = 0
-        if hits.size:
-            values = block[hits]
-            slot_sum = int(values.sum())
-            addresses = (np.uint32(octet << 24)) | hits.astype(np.uint32)
-            heap.offer_many(addresses, values)
-        return pass_records, slot_sum
+        return pass_records, offer_block(heap, block, octet)
 
     def stats(self) -> dict:
         return {

@@ -46,7 +46,7 @@ class TopKHeap:
     @property
     def min_count(self) -> int:
         """Count of the weakest kept entry; 0 while the heap is not full."""
-        return self._heap[0][0] if len(self._heap) >= self.k else 0
+        return self._heap[0][0] if self.full else 0
 
     def offer_u32(self, address: int, count: int) -> bool:
         """Offer one candidate in integer form; True if it was kept."""
@@ -58,9 +58,6 @@ class TopKHeap:
             return False
         heapq.heapreplace(self._heap, entry)
         return True
-
-    def offer(self, address: IPv4Address, count: int) -> bool:
-        return self.offer_u32(to_u32(address), count)
 
     def offer_many(self, addresses: np.ndarray, counts: np.ndarray) -> None:
         """Offer a batch of candidates, pruning ones that cannot be kept.
@@ -75,8 +72,7 @@ class TopKHeap:
         counts = np.asarray(counts)
         if counts.size > self.k:
             floor = np.partition(counts, counts.size - self.k)[counts.size - self.k]
-            if self.full:
-                floor = max(floor, self.min_count)
+            floor = max(floor, self.min_count)
             keep = counts >= floor
             addresses = addresses[keep]
             counts = counts[keep]
@@ -95,5 +91,5 @@ def merge_top_k(parts: Iterable[Iterable[HeapEntry]], k: int) -> list[HeapEntry]
     heap = TopKHeap(k)
     for part in parts:
         for entry in part:
-            heap.offer(entry.address, entry.count)
+            heap.offer_u32(to_u32(entry.address), entry.count)
     return heap.drain_sorted()

@@ -3,6 +3,8 @@
 import csv
 import gc
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -194,3 +196,57 @@ class TestReadme:
         for block in blocks:
             exec(compile(block, "README.md", "exec"), {})
         assert capsys.readouterr().out.startswith("1.2.3.4 2\n5.6.7.8 1\n")
+
+
+# One traced query per benchmark cell, as perfbench/child.py runs it, in a
+# fresh interpreter: the tracer wraps ipstat's entry points by name, so a
+# renamed or re-signed one breaks the benchmark's --trace 1 run.
+_TRACED_CELLS = """
+import sys, time
+root, path, truth_path = sys.argv[1:]
+sys.path[:0] = [root + "/src", root + "/perfbench"]
+import tracer as tracing
+from run import CELLS
+from ipstat.bench import run_method, validate_entries
+from ipstat.datagen import load_truth
+
+truth = load_truth(truth_path)
+records = sum(count for _, count in truth)
+octets = len({address >> 24 for address, _ in truth})
+tracer = tracing.Tracer()
+tracing.install(tracer)
+for cell, (method, workers) in CELLS.items():
+    tracer.spans.clear()
+    tracer.counter_stats.clear()
+    started = time.perf_counter()
+    with tracer.span("bench.run_method"):
+        entries, _ = run_method(path, method, 10, workers)
+    seconds = time.perf_counter() - started
+    validate_entries(entries, truth, 10, cell)
+    trace = {
+        "spans": tracer.spans,
+        "counter_stats": [[layer, n, stats] for (layer, n), stats in tracer.counter_stats.items()],
+        "worker_records": tracer.worker_records,
+        "seconds": seconds,
+    }
+    values = tracing.layer_values(method, workers, trace, seconds)
+    assert values["model.opens"] == 1 and values["model.records_decoded"] == records, (cell, values)
+    assert values["topk.candidates"] > 0, (cell, values)
+    if method == "ssmb":
+        assert values["ssmb.zeroing_ok"] == 1 and values["ssmb.passes"] == octets, (cell, values)
+    print(cell)
+"""
+
+
+def test_traced_query_of_every_benchmark_cell(dataset):
+    path, truth_path = dataset
+    root = Path(__file__).resolve().parent.parent
+    # -B: the test only reads perfbench/, it leaves no bytecode there
+    done = subprocess.run(
+        [sys.executable, "-B", "-c", _TRACED_CELLS, str(root), str(path), str(truth_path)],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["tlmb", "tlmb_w2", "ssmb", "ssmb_w2", "hash", "ipmap"]

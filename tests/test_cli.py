@@ -192,6 +192,17 @@ class TestBench:
         assert code == 3
         assert "rank 1" in capsys.readouterr().err
 
+    def test_bench_rejects_a_sidecar_that_is_not_a_ranking(self, tmp_path, capsys):
+        data, truth = tmp_path / "d.txt", tmp_path / "d.txt.truth"
+        data.write_text("1.1.1.1\n2.2.2.2\n1.1.1.1\n")
+        truth.write_text("2.2.2.2\t1\n1.1.1.1\t2\n")  # ascending: not a ranking
+        code = run_cli("bench", "--input", str(data), "--truth", str(truth),
+                       "--methods", "tlmb", "--k", "1", "--reps", "1",
+                       "--csv", str(tmp_path / "rows.csv"))
+        assert code == 3
+        err = capsys.readouterr().err
+        assert f"{truth}: truth line 2" in err and "rank 1" not in err
+
     def test_unknown_method_exits_1(self, tmp_path):
         with pytest.raises(SystemExit) as err:
             run_cli("bench", "--input", "x", "--truth", "y", "--methods", "quantum",

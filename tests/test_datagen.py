@@ -1,5 +1,7 @@
 """Dataset generator: determinism, exact shape, ground truth."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -175,9 +177,19 @@ class TestGenerateAndVerify:
 
     def test_load_truth_rejects_garbage(self, tmp_path):
         bad = tmp_path / "junk.truth"
-        bad.write_text("1.2.3.4\tfive\n")
-        with pytest.raises(GroundTruthMismatch):
-            load_truth(bad)
+        for text, line in [
+            ("1.2.3.4\tfive\n", 1),
+            # a count below 1
+            ("1.1.1.1\t2\n2.2.2.2\t1\n3.3.3.3\t0\n", 3),
+            # ascending counts
+            ("2.2.2.2\t1\n1.1.1.1\t2\n", 2),
+            # a tie with the larger address first, and a repeated line
+            ("2.2.2.2\t5\n1.1.1.1\t5\n", 2),
+            ("1.1.1.1\t5\n1.1.1.1\t5\n", 2),
+        ]:
+            bad.write_text(text)
+            with pytest.raises(GroundTruthMismatch, match=rf"{re.escape(str(bad))}: .*line {line}\b"):
+                load_truth(bad)
 
     def test_write_truth_tie_order(self, tmp_path):
         path = tmp_path / "ties.truth"

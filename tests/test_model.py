@@ -191,7 +191,8 @@ _dotted = st.builds(
 )
 # four parts of which some may be empty
 _gappy = st.lists(st.text("0123456789", max_size=3), min_size=4, max_size=4).map(".".join)
-_line = st.one_of(_dotted, _dotted, _dotted, _gappy, st.text("0123456789.\r x", max_size=12), st.just(""))
+# junk includes the bytes just below and above the digits ("/" and ":") and letters
+_line = st.one_of(_dotted, _dotted, _dotted, _gappy, st.text("0123456789./:\r xA", max_size=12), st.just(""))
 RECORD_BYTES = st.builds(
     _join_lines,
     st.lists(_line, min_size=1, max_size=24),
@@ -236,6 +237,11 @@ class TestDecoderDifferential:
     @example(_PURE + _PURE + b"3.3.3.300\n" + _PURE, 8 << 20, 16, True)
     # lenient, a first chunk of malformed lines only: skips counted, no batch yielded
     @example(b"bad\n1.2.3\nx.y\n" + _PURE, 17, 512 << 10, True)
+    # bytes at the edges of the digit range, read neither as digits nor as dots
+    @example(_PURE + b"1.2.3.:\n" + _PURE, 8 << 20, 512 << 10, False)
+    @example(_PURE + b"1.2.3.:\n" + _PURE, 8 << 20, 512 << 10, True)
+    @example(b"1.2/3.4\n", 8 << 20, 512 << 10, False)
+    @example(b"1.2/3.4\n", 8 << 20, 512 << 10, True)
     # a part above 255 in the last line of a chunk
     @example(_PURE + b"4.4.4.256\n" + _PURE, 30, 512 << 10, False)
     @example(_PURE + b"4.4.4.256\n" + _PURE, 30, 512 << 10, True)

@@ -28,7 +28,7 @@ from ipstat import (
     run_parallel,
     to_u32,
 )
-from ipstat.ssmb import RUN, OctetSpill
+from ipstat.ssmb import RUN, OctetSpill, spilled
 
 BLOCK_BYTES = 134_217_728
 
@@ -215,7 +215,7 @@ def test_spill_backed_top_k_matches_oracle(shared_counter, records, batch_record
 
     with mock.patch.object(ipstat.model, "BATCH_RECORDS", batch_records):
         if prebuilt:
-            with OctetSpill.build(source) as spill:
+            with spilled(source) as spill:
                 entries = shared_counter.top_k(spill, k, octets=octets, pass_hook=hook)
         else:
             entries = shared_counter.top_k(source, k, octets=octets, pass_hook=hook)
@@ -235,7 +235,7 @@ class TestSpill:
     def test_runs_filed_by_octet_across_batches(self, monkeypatch):
         values = addresses_of("7.0.0.1", "9.0.0.2", "7.0.0.1", "7.0.0.3", "9.0.0.2")
         monkeypatch.setattr(ipstat.model, "BATCH_RECORDS", 2)
-        with OctetSpill.build(ArraySource(values)) as spill:
+        with spilled(ArraySource(values)) as spill:
             assert spill.octets == [7, 9]
             runs = {octet: Counter() for octet in spill.octets}
             for octet in spill.octets:
@@ -253,7 +253,7 @@ class TestSpill:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # interleave the workers' reads of the shared spill
         try:
-            with OctetSpill.build(source) as spill:
+            with spilled(source) as spill:
                 plan = PartitionPlan.by_first_octets(spill.octets, 3)
                 entries, results = run_parallel(spill, plan, 10)
         finally:
