@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import InvalidPlan
 from .model import aggregate
-from .ssmb import OctetSpill, SsmbCounter, discover_subsets, spilled
+from .ssmb import OctetSpill, SsmbCounter, discover_subsets, first_octets, spilled
 from .tlmb import TlmbCounter
 from .topk import HeapEntry, merge_top_k
 
@@ -57,10 +57,8 @@ class PartitionPlan:
         elif self.method == "ssmb":
             if self.prefix_bits is not None:
                 raise InvalidPlan("ssmb plans partition by first octets, not prefix bits")
-            if list(self.octets) != sorted(set(self.octets)):
+            if list(self.octets) != first_octets(self.octets):
                 raise InvalidPlan("ssmb plans need ascending distinct first octets")
-            if self.octets and not 0 <= self.octets[0] <= self.octets[-1] <= 255:
-                raise InvalidPlan(f"first octets out of range: {self.octets}")
         else:
             raise InvalidPlan(f"unknown method {self.method!r}")
 
@@ -74,7 +72,7 @@ class PartitionPlan:
     @classmethod
     def by_first_octets(cls, octets, workers: int) -> "PartitionPlan":
         """ssmb plan: deal the given first octets round-robin to workers."""
-        return cls(method="ssmb", workers=workers, octets=tuple(sorted(set(int(a) for a in octets))))
+        return cls(method="ssmb", workers=workers, octets=tuple(first_octets(octets)))
 
     @classmethod
     def for_source(cls, source, method: str, workers: int) -> "PartitionPlan":

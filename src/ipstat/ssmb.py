@@ -10,10 +10,12 @@ at first-octet boundaries, and each slice is appended as (low-24 slot,
 count) runs to one unlinked temporary file, with an in-memory index of
 every first octet's runs; ``spilled(source)`` builds the spill and closes
 it. The first octets present fall out of this pass, so no separate
-discovery pass is needed. Each subset pass then zeroes the whole block,
-reads back only its own octet's runs, adds them at slot b*65536 + c*256 + d
-(the low 24 bits of the address), and offers the block's non-zero slots to
-one top-k heap shared by all passes (``offer_block``, ipmap's sweep too).
+discovery pass is needed. Each subset pass then reads back only its own
+octet's runs, adds them at slot b*65536 + c*256 + d (the low 24 bits of
+the address), and sweeps the block into one top-k heap shared by all
+passes (``offer_block``, ipmap's sweep too): one read of the whole block
+names its live (non-zero) 512-slot tiles, and only those are scanned and
+then re-zeroed, so the next pass starts from an all-zero block.
 
 Because each address belongs to exactly one subset, the heap ends up
 holding the global top-k, while tracked memory stays a flat 134,217,728
@@ -21,7 +23,7 @@ bytes no matter how many records or distinct addresses the source holds.
 The spill is on disk (``tempfile.TemporaryFile``, so it honours TMPDIR);
 its size is reported as ``spill_bytes`` and is never part of
 ``tracked_bytes``. The trade is passes for memory: one pass per distinct
-first octet present, each over its own runs only.
+first octet present, each over its own runs and one read of the block.
 """
 
 from __future__ import annotations
@@ -34,14 +36,26 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
+from .errors import InvalidPlan
 from .model import aggregate, checked_add, octet_runs
 from .topk import HeapEntry, TopKHeap
 
 BLOCK_SLOTS = 1 << 24
 BLOCK_BYTES = BLOCK_SLOTS * 8
 
+TILE_SLOTS = 512  # the sweep's coarse layer: 4 KiB tiles
+GROUP_TILES = 128  # live tiles scanned per step, so each tile copy is 512 KiB
+
 # one spilled run entry: a distinct address's low-24 slot and its count
 RUN = np.dtype([("slot", "<u4"), ("count", "<u8")])
+
+
+def first_octets(octets: Iterable[int]) -> list[int]:
+    """``octets`` ascending and distinct; InvalidPlan if one is outside [0, 255]."""
+    octets = sorted(set(int(a) for a in octets))
+    if octets and not 0 <= octets[0] <= octets[-1] <= 255:
+        raise InvalidPlan(f"first octets out of range: {octets}")
+    return octets
 
 
 def discover_subsets(source) -> list[int]:
@@ -114,15 +128,26 @@ def spilled(source) -> Iterator[OctetSpill]:
         spill._file.close()
 
 
-def offer_block(heap: TopKHeap, block: np.ndarray, octet: int) -> int:
-    """Offer a count block's non-zero slots to ``heap``; returns their sum.
+def offer_block(heap: TopKHeap, block: np.ndarray, octet: int) -> tuple[int, np.ndarray]:
+    """Offer a count block's non-zero slots to ``heap``; returns (their sum, live tiles).
 
     Slot s of the 2**24-slot block counts the address ``octet << 24 | s``.
+    One read of every byte names the live ``TILE_SLOTS``-slot tiles; only
+    they are scanned, ``GROUP_TILES`` at a time. Zeroing the returned
+    tiles clears every non-zero slot.
     """
-    hits = np.flatnonzero(block)
-    values = block[hits]
-    heap.offer_many(np.uint32(octet << 24) | hits.astype(np.uint32), values)
-    return int(values.sum())
+    tiles = block.reshape(-1, TILE_SLOTS)
+    live = np.flatnonzero(tiles.view(np.uint8).max(axis=1))
+    total = 0
+    for start in range(0, live.size, GROUP_TILES):
+        group = live[start : start + GROUP_TILES]
+        scan = tiles[group].ravel()
+        hits = np.flatnonzero(scan != 0)
+        values = scan[hits]
+        slots = (group[hits // TILE_SLOTS] * TILE_SLOTS + hits % TILE_SLOTS).astype(np.uint32)
+        heap.offer_many(np.uint32(octet << 24) | slots, values)
+        total += int(values.sum())
+    return total, live
 
 
 class SsmbCounter:
@@ -130,7 +155,8 @@ class SsmbCounter:
 
     The block is allocated lazily on the first query and reused across
     passes and across queries, so a counter's tracked footprint is one
-    block, always.
+    block, always. A pass that raises drops the block, so no count it
+    left behind reaches the next query.
     """
 
     def __init__(self):
@@ -160,9 +186,7 @@ class SsmbCounter:
         started the pass all-zero.
         """
         if octets is not None:
-            octets = sorted(set(int(a) for a in octets))
-            if octets and not 0 <= octets[0] <= octets[-1] <= 255:
-                raise ValueError(f"first octets out of range: {octets}")
+            octets = first_octets(octets)
         with spilled(source) as spill:
             if octets is None:
                 octets = spill.octets
@@ -182,17 +206,21 @@ class SsmbCounter:
     def _run_pass(self, spill: OctetSpill, octet: int, heap: TopKHeap) -> tuple[int, int]:
         if self._block is None:
             self._block = np.zeros(BLOCK_SLOTS, dtype=np.uint64)
-        else:
-            self._block[:] = 0
         block = self._block
         pass_records = 0
-        for slots, counts in spill.runs(octet):
-            slots = slots.astype(np.int64)
-            block[slots] = checked_add(block[slots], counts)
-            pass_records += int(counts.sum())
+        try:
+            for slots, counts in spill.runs(octet):
+                slots = slots.astype(np.int64)
+                block[slots] = checked_add(block[slots], counts)
+                pass_records += int(counts.sum())
+            slot_sum, live = offer_block(heap, block, octet)
+            block.reshape(-1, TILE_SLOTS)[live] = 0
+        except BaseException:
+            self._block = None
+            raise
         self._records += pass_records
         self._passes += 1
-        return pass_records, offer_block(heap, block, octet)
+        return pass_records, slot_sum
 
     def stats(self) -> dict:
         return {

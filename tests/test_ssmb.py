@@ -8,14 +8,17 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import ipstat.model
 from conftest import SingleUseSource, as_pairs, oracle_top_k, property_settings, random_addresses
 from ipstat import (
     ArraySource,
+    CountOverflow,
     FileSource,
+    InvalidPlan,
+    IpMapCounter,
     MalformedAddress,
     PartitionPlan,
     SsmbCounter,
@@ -28,7 +31,7 @@ from ipstat import (
     run_parallel,
     to_u32,
 )
-from ipstat.ssmb import RUN, OctetSpill, spilled
+from ipstat.ssmb import GROUP_TILES, RUN, TILE_SLOTS, OctetSpill, spilled
 
 BLOCK_BYTES = 134_217_728
 
@@ -176,8 +179,25 @@ class TestMemoryAndErrors:
         assert as_pairs(entries) == [(to_u32(parse_dotted("1.0.0.1")), 2)]
 
     def test_rejects_bad_octets(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidPlan, match="out of range"):
             SsmbCounter().top_k(ArraySource(np.empty(0, dtype=np.uint32)), 1, octets=[300])
+        with pytest.raises(InvalidPlan, match="out of range"):
+            PartitionPlan.by_first_octets([300], workers=1)
+
+    def test_failed_pass_leaves_no_counts_behind(self, monkeypatch):
+        # 1.0.0.1's second spill segment overflows a 3-count cap after the
+        # first segment has already written 2 into the block
+        counter = SsmbCounter()
+        monkeypatch.setattr(ipstat.model, "BATCH_RECORDS", 2)
+        with mock.patch.object(ipstat.model, "_MAX_COUNT", np.uint64(3)):
+            with pytest.raises(CountOverflow):
+                counter.top_k(ArraySource(addresses_of(*["1.0.0.1"] * 4)), 1)
+        values = addresses_of("1.0.0.1", "1.0.0.2", "1.0.0.2", "5.0.0.1")
+        seen = []
+        entries = counter.top_k(ArraySource(values), 3, pass_hook=lambda octet, stats: seen.append(stats))
+        assert as_pairs(entries) == oracle_top_k(values, 3)
+        assert [(s["octet"], s["pass_records"]) for s in seen] == [(1, 3), (5, 1)]
+        assert all(s["slot_sum"] == s["pass_records"] for s in seen)
 
 
 # few first octets and low parts, so addresses repeat within and across batches
@@ -229,6 +249,77 @@ def test_spill_backed_top_k_matches_oracle(shared_counter, records, batch_record
     assert stats["spill_bytes"] == RUN.itemsize * sum(len(set(b)) for b in batches)
     assert stats["tracked_bytes"] == BLOCK_BYTES
     assert source.replays == 1
+
+
+# low-24 slots around tile and group edges, and anywhere
+_tile_slots = st.one_of(
+    st.sampled_from([0, 1, TILE_SLOTS - 1, TILE_SLOTS, GROUP_TILES * TILE_SLOTS, 2**24 - 1]),
+    st.builds(
+        lambda tile, offset: tile * TILE_SLOTS + offset,
+        st.one_of(st.sampled_from([0, 1, GROUP_TILES - 1, GROUP_TILES, 32767]), st.integers(0, 32767)),
+        st.one_of(st.sampled_from([0, TILE_SLOTS - 1]), st.integers(0, TILE_SLOTS - 1)),
+    ),
+)
+_tile_records = st.lists(st.tuples(st.sampled_from([0, 9, 255]), _tile_slots), max_size=120)
+
+
+def tile_sweep_records(records, spread, octet) -> np.ndarray:
+    """The drawn (octet, slot) records, then one hit in each of ``spread`` tiles of ``octet``."""
+    drawn = [(a << 24) | low for a, low in records]
+    stride = 32768 // max(spread, 1)
+    spread_hits = [(octet << 24) | (t * stride * TILE_SLOTS + t % TILE_SLOTS) for t in range(spread)]
+    return np.array(drawn + spread_hits, dtype=np.uint32)
+
+
+@pytest.mark.parametrize("method", ["ssmb", "ipmap"])
+@property_settings(25)
+@given(
+    records=_tile_records,
+    spread=st.integers(0, 3 * GROUP_TILES),
+    octet=st.sampled_from([0, 9, 255]),
+    batch_records=st.integers(1, 40),
+    k=st.integers(1, 500),
+)
+@example(records=[(9, 5)] * 6 + [(9, 7)] * 3 + [(9, 5)] * 4, spread=0, octet=9, batch_records=2, k=3)
+@example(records=[(0, 0), (0, 511), (0, 512), (0, 2**24 - 1), (0, 512)], spread=0, octet=0, batch_records=1, k=5)
+@example(records=[], spread=2 * GROUP_TILES + 1, octet=255, batch_records=7, k=500)
+def test_tile_sweep_matches_oracle(shared_counter, method, records, spread, octet, batch_records, k):
+    values = tile_sweep_records(records, spread, octet)
+    with mock.patch.object(ipstat.model, "BATCH_RECORDS", batch_records):
+        if method == "ssmb":
+            seen = []
+            entries = shared_counter.top_k(ArraySource(values), k, pass_hook=lambda o, stats: seen.append(stats))
+            assert all(s["slot_sum"] == s["pass_records"] for s in seen)
+            # the pass re-zeroed every live tile it swept
+            assert not shared_counter._block.any()
+        else:
+            counter = IpMapCounter()
+            for batch in ArraySource(values).open().batches():
+                counter.ingest_many(batch)
+            entries = counter.top_k(k)
+            # the sweep reads the blocks and leaves every count in place
+            assert all(counter.count(from_u32(a)) == c for a, c in oracle_top_k(values, values.size))
+    assert as_pairs(entries) == oracle_top_k(values, k)
+
+
+@pytest.mark.parametrize("method", ["ssmb", "ipmap"])
+def test_every_tile_live(shared_counter, method):
+    rng = np.random.default_rng(408)
+    octet = 77
+    tiles = 2**24 // TILE_SLOTS
+    values = (octet << 24) | (np.arange(tiles) * TILE_SLOTS + rng.integers(0, TILE_SLOTS, tiles))
+    values = rng.permutation(np.repeat(values, rng.integers(1, 4, tiles))).astype(np.uint32)
+    if method == "ssmb":
+        seen = []
+        entries = shared_counter.top_k(ArraySource(values), 50, pass_hook=lambda o, stats: seen.append(stats))
+        assert [(s["slot_sum"], s["pass_records"]) for s in seen] == [(values.size, values.size)]
+        assert not shared_counter._block.any()
+    else:
+        counter = IpMapCounter()
+        counter.ingest_many(values)
+        entries = counter.top_k(50)
+        assert int(counter._blocks[octet].sum()) == values.size
+    assert as_pairs(entries) == oracle_top_k(values, 50)
 
 
 class TestSpill:
