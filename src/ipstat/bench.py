@@ -79,9 +79,14 @@ def query(source, method: str, k: int, workers: int = 1) -> tuple[list[HeapEntry
     if workers > 1:
         if method not in ("tlmb", "ssmb"):
             raise InvalidPlan(f"method {method!r} has no partition scheme; run it with workers=1")
-        # an ssmb plan and all its workers share one spill of the source
+        # an ssmb plan and all its workers share one spill of the source; a
+        # tlmb plan without owners is cut from the first batch it reads
         with spilled(source) if method == "ssmb" else nullcontext(source) as data:
-            entries, results = run_parallel(data, PartitionPlan.for_source(data, method, workers), k)
+            if method == "ssmb":
+                plan = PartitionPlan.for_source(data, method, workers)
+            else:
+                plan = PartitionPlan(method, workers)
+            entries, results = run_parallel(data, plan, k)
         stats = {"workers": len(results)}
         for result in results:
             for key, value in result.stats.items():

@@ -3,14 +3,19 @@
 Both memory-block counters split cleanly along the first octet, so every
 address is counted wholly by one worker and worker results never overlap:
 
-* tlmb — partition by the leading ``r`` bits of the first octet. Worker w
-  owns first octets [w * 256/2**r, (w+1) * 256/2**r) and runs a narrowed
-  counter whose handle table is 1/2**r of the full size, so the combined
-  first-layer footprint of all workers equals one full-range counter. The
-  input is read once; each batch is reduced to its ascending distinct
-  addresses and their counts, and since ownership is monotone in the
-  address, one cut at the owners' start addresses hands every worker its
-  own slice of those runs.
+* tlmb — worker w owns the first octets [octets[w], octets[w + 1]) of its
+  plan's ascending start octets, and runs a counter narrowed to them, so
+  the workers' handle tables add up to one full-range counter's. The
+  query's plan is cut from the first batch: at first-octet boundaries,
+  so that each worker owns about 1/W of its distinct addresses, and the
+  owners still cover every octet once, so later batches are counted
+  exactly wherever they fall. ``by_prefix_bits`` keeps the even cut by
+  leading address bits. The input is read once; each batch is reduced
+  to its ascending distinct addresses and their counts, and since
+  ownership is monotone in the address, one cut at the owners' start
+  addresses hands every worker its own slice of those runs. The reading
+  thread decodes and aggregates the next batch while the workers count
+  this one, and waits for them before it hands out the next.
 * ssmb — the input is decoded once into one ``OctetSpill``, whose first
   octets are dealt round-robin over the workers; each worker runs its own
   subset passes over its octets' runs in that shared spill (and has its
@@ -25,6 +30,7 @@ equals the serial one, list order included.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,10 +41,17 @@ from .ssmb import OctetSpill, SsmbCounter, discover_subsets, first_octets, spill
 from .tlmb import TlmbCounter
 from .topk import HeapEntry, merge_top_k
 
+_NO_RUNS = (np.empty(0, dtype=np.uint32), np.empty(0, dtype=np.uint64))
+
 
 @dataclass(frozen=True)
 class PartitionPlan:
-    """How records are split across workers for one method."""
+    """How records are split across workers for one method.
+
+    ``octets`` are a tlmb plan's owner start octets (ascending, the first
+    0), or an ssmb plan's subset octets. A tlmb plan without them is cut
+    from its first batch (``by_value_share``).
+    """
 
     method: str
     workers: int
@@ -49,11 +62,14 @@ class PartitionPlan:
         if self.workers < 1:
             raise InvalidPlan(f"worker count must be at least 1, got {self.workers}")
         if self.method == "tlmb":
+            if self.workers & (self.workers - 1) or self.workers > 256:
+                raise InvalidPlan(f"tlmb worker count must be a power of two up to 256, got {self.workers}")
             r = self.prefix_bits
-            if r is None or not 0 <= r <= 8:
-                raise InvalidPlan(f"tlmb plans need prefix_bits in [0, 8], got {r}")
-            if self.workers != 1 << r:
-                raise InvalidPlan(f"prefix_bits={r} implies {1 << r} workers, got {self.workers}")
+            if r is not None and not (0 <= r <= 8 and self.octets == tuple(range(0, 256, 256 >> r))):
+                raise InvalidPlan(f"prefix_bits={r} plans split 256 octets evenly, got {self.octets}")
+            starts = list(self.octets)
+            if starts and (len(starts) != self.workers or starts[0] != 0 or starts != first_octets(starts)):
+                raise InvalidPlan(f"tlmb plans need one ascending start octet per worker from 0, got {starts}")
         elif self.method == "ssmb":
             if self.prefix_bits is not None:
                 raise InvalidPlan("ssmb plans partition by first octets, not prefix bits")
@@ -67,7 +83,24 @@ class PartitionPlan:
         """tlmb plan: 2**prefix_bits workers keyed by leading address bits."""
         if not 0 <= prefix_bits <= 8:
             raise InvalidPlan(f"prefix_bits must be in [0, 8], got {prefix_bits}")
-        return cls(method="tlmb", workers=1 << prefix_bits, prefix_bits=prefix_bits)
+        starts = tuple(range(0, 256, 256 >> prefix_bits))
+        return cls(method="tlmb", workers=1 << prefix_bits, prefix_bits=prefix_bits, octets=starts)
+
+    @classmethod
+    def by_value_share(cls, values: np.ndarray, workers: int) -> "PartitionPlan":
+        """tlmb plan cut at first-octet boundaries so each worker owns about 1/workers of ``values``.
+
+        Every worker owns at least one octet; with no values the octets split evenly.
+        """
+        per_octet = np.bincount(values >> np.uint32(24), minlength=256) if values.size else np.ones(256, np.int64)
+        below = np.concatenate([[0], np.cumsum(per_octet)])  # below[o]: values under octet o
+        share = np.arange(1, workers) * below[-1] / workers
+        above = np.searchsorted(below, share)  # >= 1, since every share is positive
+        nearest = np.where(share - below[above - 1] < below[above] - share, above - 1, above)
+        # strictly ascending from 1 and at most 255, so no owner is empty
+        ordinal = np.arange(1, workers)
+        starts = np.minimum(np.maximum.accumulate(np.maximum(nearest - ordinal, 0)), 256 - workers) + ordinal
+        return cls(method="tlmb", workers=workers, octets=(0, *starts.tolist()))
 
     @classmethod
     def by_first_octets(cls, octets, workers: int) -> "PartitionPlan":
@@ -76,14 +109,13 @@ class PartitionPlan:
 
     @classmethod
     def for_source(cls, source, method: str, workers: int) -> "PartitionPlan":
-        """Build the natural plan for a method and worker count.
+        """Build the even plan for a method and worker count.
 
         An ssmb plan takes its first octets from ``source`` when it is an
         ``OctetSpill``, and otherwise lists them with one more pass.
         """
         if method == "tlmb":
-            if workers & (workers - 1) or not 1 <= workers <= 256:
-                raise InvalidPlan(f"tlmb worker count must be a power of two up to 256, got {workers}")
+            cls(method="tlmb", workers=workers)  # checks the worker count
             return cls.by_prefix_bits(workers.bit_length() - 1)
         if method == "ssmb":
             if workers < 1:
@@ -94,23 +126,26 @@ class PartitionPlan:
 
     def bounds(self, values: np.ndarray) -> list[int]:
         """Cut ascending uint32 ``values`` by tlmb owner: worker w owns values[b[w]:b[w + 1]]."""
-        if self.method != "tlmb":
-            raise InvalidPlan("only tlmb plans cut the address range")
-        starts = np.arange(1, self.workers, dtype=np.uint32) << np.uint32(32 - self.prefix_bits)
+        if self.method != "tlmb" or not self.octets:
+            raise InvalidPlan("only tlmb plans with owners cut the address range")
+        starts = np.array(self.octets[1:], dtype=np.uint32) << np.uint32(24)
         return [0, *np.searchsorted(values, starts).tolist(), values.size]
 
     def worker_octets(self, ordinal: int) -> list[int]:
-        """The ssmb subset passes assigned to one worker."""
+        """The first octets one worker owns: a tlmb range, or its ssmb subset passes."""
+        if self.method == "tlmb":
+            return list(range(self.octets[ordinal], (*self.octets, 256)[ordinal + 1]))
         return list(self.octets[ordinal :: self.workers])
 
 
 @dataclass
 class WorkerResult:
-    """One worker's local outcome: its candidates and counter stats."""
+    """One worker's local outcome: its first octets, candidates and counter stats."""
 
     ordinal: int
     candidates: list[HeapEntry] = field(default_factory=list)
     stats: dict = field(default_factory=dict)
+    octets: list[int] = field(default_factory=list)
 
 
 def run_parallel(source, plan: PartitionPlan, k: int) -> tuple[list[HeapEntry], list[WorkerResult]]:
@@ -124,25 +159,31 @@ def run_parallel(source, plan: PartitionPlan, k: int) -> tuple[list[HeapEntry], 
 
 
 def _run_tlmb(source, plan: PartitionPlan, k: int) -> list[WorkerResult]:
-    span = 256 >> plan.prefix_bits
-    counters = [TlmbCounter(first_octet_base=w * span, first_octet_span=span) for w in range(plan.workers)]
-    with ThreadPoolExecutor(max_workers=plan.workers) as pool:
-        # no local holds the stream, so a failed batch that unwinds this
-        # frame drops it, and a file source closes then
-        for batch in source.open().batches():
-            values, counts = aggregate(batch)
+    # closing the runs drops the stream, so a failed query closes a file
+    # source at once, without the cyclic collector; the pool has joined its
+    # workers by then
+    runs = (aggregate(batch) for batch in source.open().batches())
+    with closing(runs), ThreadPoolExecutor(max_workers=plan.workers) as pool:
+        values, counts = next(runs, _NO_RUNS)
+        if not plan.octets:
+            plan = PartitionPlan.by_value_share(values, plan.workers)
+        owned = [plan.worker_octets(w) for w in range(plan.workers)]
+        counters = [TlmbCounter(first_octet_base=o[0], first_octet_span=len(o)) for o in owned]
+        while values.size:
             cuts = plan.bounds(values)
             futures = [
                 pool.submit(counter.add_runs, values[lo:hi], counts[lo:hi])
                 for counter, lo, hi in zip(counters, cuts[:-1], cuts[1:])
                 if hi > lo
             ]
+            # read ahead while the workers count; no counter takes two batches at once
+            values, counts = next(runs, _NO_RUNS)
             for future in futures:
                 future.result()
         tops = [pool.submit(counter.top_k, k) for counter in counters]
         return [
-            WorkerResult(w, top.result(), counter.stats())
-            for w, (counter, top) in enumerate(zip(counters, tops))
+            WorkerResult(w, top.result(), counter.stats(), octets)
+            for w, (counter, top, octets) in enumerate(zip(counters, tops, owned))
         ]
 
 
@@ -151,7 +192,7 @@ def _run_ssmb(source, plan: PartitionPlan, k: int) -> list[WorkerResult]:
         octets = plan.worker_octets(ordinal)
         counter = SsmbCounter()
         candidates = counter.top_k(spill, k, octets=octets) if octets else []
-        return WorkerResult(ordinal, candidates, counter.stats())
+        return WorkerResult(ordinal, candidates, counter.stats(), octets)
 
     # the pool joins its workers before the spill they share is closed
     with spilled(source) as spill, ThreadPoolExecutor(max_workers=plan.workers) as pool:

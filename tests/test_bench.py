@@ -80,17 +80,28 @@ class TestRunMethod:
             handles.append(open(*args, **kwargs))
             return handles[-1]
 
+        calls = []
+
         def fail(self, values, counts):
-            raise CountOverflow("an address count would exceed the 64-bit range")
+            calls.append(values.size)
+            if len(calls) > allowed:
+                raise CountOverflow("an address count would exceed the 64-bit range")
 
         monkeypatch.setattr(model, "open", recording_open, raising=False)
         monkeypatch.setattr(TlmbCounter, "add_runs", fail)
+        # a batch of two or three lines, so later batches are still unread when one fails
+        monkeypatch.setattr(model, "TEXT_CHUNK_BYTES", 24)
         # with the cyclic collector off, only reference counting can close the file
         gc.disable()
         try:
-            with pytest.raises(CountOverflow):
-                query(FileSource(path), "tlmb", 1, workers)
-            assert len(handles) == 1 and handles[0].closed
+            # fail on the first batch, then on the third counter call (after the first batch)
+            for allowed in (0, 2):
+                handles.clear()
+                calls.clear()
+                with pytest.raises(CountOverflow):
+                    query(FileSource(path), "tlmb", 1, workers)
+                assert len(calls) > allowed
+                assert len(handles) == 1 and handles[0].closed
         finally:
             gc.enable()
 

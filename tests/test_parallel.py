@@ -1,5 +1,7 @@
 """Partition plans and serial-parallel equivalence."""
 
+import sys
+import threading
 from unittest import mock
 
 import numpy as np
@@ -10,14 +12,18 @@ from hypothesis import strategies as st
 from conftest import as_pairs, oracle_top_k, property_settings, random_addresses
 from ipstat import (
     ArraySource,
+    CountOverflow,
     InvalidPlan,
     PartitionPlan,
+    TlmbCounter,
     parse_dotted,
     query,
     run_parallel,
     to_u32,
+    write_binary,
 )
-from ipstat import model
+from ipstat import bench, model
+from ipstat.cli import main
 
 
 def cut(plan: PartitionPlan, addresses) -> list[list[int]]:
@@ -80,6 +86,58 @@ class TestPlans:
         assert plan.octets == (1, 2)
 
 
+class TestValueSharePlans:
+    @staticmethod
+    def octets_of(*octets) -> np.ndarray:
+        return np.array([(a << 24) | low for a in octets for low in range(100)], dtype=np.uint32)
+
+    def test_even_octets_split_evenly(self):
+        values = self.octets_of(0, 1, 2, 3)
+        assert PartitionPlan.by_value_share(values, 1).octets == (0,)
+        assert PartitionPlan.by_value_share(values, 2).octets == (0, 2)
+        assert PartitionPlan.by_value_share(values, 4).octets == (0, 1, 2, 3)
+
+    def test_cut_falls_at_the_nearest_octet_boundary(self):
+        # 30 | 60 | 10 values in octets 5, 6 and 9: 30 values lie below octet 6 and 90
+        # below octet 7, so half of them is nearer the octet 6 boundary
+        values = np.concatenate([self.octets_of(5)[:30], self.octets_of(6)[:60], self.octets_of(9)[:10]])
+        assert PartitionPlan.by_value_share(values, 2).octets == (0, 6)
+        # shares 25, 50, 75 pick octets 6, 6, 7; owners move up one octet to stay apart
+        assert PartitionPlan.by_value_share(values, 4).octets == (0, 6, 7, 8)
+
+    def test_every_owner_keeps_an_octet(self):
+        assert PartitionPlan.by_value_share(self.octets_of(7), 2).octets == (0, 8)
+        assert PartitionPlan.by_value_share(self.octets_of(7), 8).octets == (0, 7, 8, 9, 10, 11, 12, 13)
+        assert PartitionPlan.by_value_share(self.octets_of(255), 4).octets == (0, 253, 254, 255)
+        assert PartitionPlan.by_value_share(self.octets_of(0), 256).octets == tuple(range(256))
+        # no values: the even cut
+        empty = np.empty(0, dtype=np.uint32)
+        assert PartitionPlan.by_value_share(empty, 8).octets == PartitionPlan.by_prefix_bits(3).octets
+
+    def test_worker_octets_cover_every_octet_once(self):
+        plan = PartitionPlan.by_value_share(self.octets_of(3, 40, 41), 4)
+        owned = [plan.worker_octets(w) for w in range(4)]
+        assert [octet for part in owned for octet in part] == list(range(256))
+        assert all(owned)
+
+    def test_bounds_cut_at_owner_start_addresses(self):
+        plan = PartitionPlan(method="tlmb", workers=2, octets=(0, 6))
+        values = np.array([5 << 24, (6 << 24) - 1, 6 << 24, 2**32 - 1], dtype=np.uint32)
+        assert plan.bounds(values) == [0, 2, 4]
+        with pytest.raises(InvalidPlan, match="with owners"):
+            PartitionPlan(method="tlmb", workers=2).bounds(values)
+
+    def test_invalid_owner_starts(self):
+        # too few, not from 0, repeated, descending, past 255
+        for workers, octets in ((2, (0,)), (2, (1, 6)), (4, (0, 6, 6, 7)), (4, (0, 7, 6, 9)), (2, (0, 256))):
+            with pytest.raises(InvalidPlan):
+                PartitionPlan(method="tlmb", workers=workers, octets=octets)
+        with pytest.raises(InvalidPlan):
+            PartitionPlan(method="tlmb", workers=2, prefix_bits=1, octets=(0, 6))
+        with pytest.raises(InvalidPlan, match="power of two"):
+            PartitionPlan(method="tlmb", workers=3)
+
+
 class TestAssignmentProperties:
     def test_coverage_and_disjointness(self):
         rng = np.random.default_rng(600)
@@ -131,6 +189,117 @@ def test_routing_matches_oracle(case, k):
     assert as_pairs(merged) == oracle_top_k(values, k)
     owners = (values.astype(np.uint64) >> np.uint64(32 - r)).astype(np.int64)
     assert [w.stats["records_ingested"] for w in results] == np.bincount(owners, minlength=1 << r).tolist()
+
+
+@st.composite
+def first_batch_cases(draw):
+    """(batch size, addresses): a first batch within one or two first octets, later batches anywhere."""
+    batch_records = draw(st.integers(1, 16))
+    if draw(st.integers(0, 9)) == 0:
+        return batch_records, np.empty(0, dtype=np.uint32)
+    edge = st.sampled_from([0, 1, 2, 127, 128, 254, 255])
+    low = st.one_of(st.integers(0, 300), st.sampled_from([65535, 65536, 0xFFFFFF]))
+    first_octets = draw(st.lists(edge, min_size=1, max_size=2))
+    first_address = st.tuples(st.sampled_from(first_octets), low)
+    first = draw(st.lists(first_address, min_size=batch_records, max_size=batch_records))
+    later = draw(st.lists(st.tuples(st.one_of(edge, st.integers(0, 255)), low), max_size=80))
+    return batch_records, np.array([(a << 24) | b for a, b in first + later], dtype=np.uint32)
+
+
+@property_settings(120)
+@given(first_batch_cases(), st.sampled_from([2, 4, 8]), st.integers(1, 8))
+def test_first_batch_plan_matches_serial_and_oracle(case, workers, k):
+    batch_records, values = case
+    source = ArraySource(values)
+    runs = []
+
+    def recording_run_parallel(data, plan, k):
+        merged, results = run_parallel(data, plan, k)
+        runs.append(results)
+        return merged, results
+
+    with mock.patch.object(model, "BATCH_RECORDS", batch_records):
+        serial, serial_stats = query(source, "tlmb", k)
+        with mock.patch.object(bench, "run_parallel", recording_run_parallel):
+            entries, stats = query(source, "tlmb", k, workers)
+    assert as_pairs(entries) == oracle_top_k(values, k)
+    assert entries == serial
+    for key in ("records_ingested", "allocated_second_blocks", "first_layer_bytes", "tracked_bytes"):
+        assert stats[key] == serial_stats[key], key
+    assert stats["first_layer_bytes"] == 134_217_728
+    assert stats["workers"] == workers and source.replays == 2
+    (results,) = runs
+    # the owners are contiguous, non-empty and cover octets 0..255 once, in worker order
+    assert [octet for result in results for octet in result.octets] == list(range(256))
+    assert all(result.octets for result in results)
+    for result in results:
+        assert all(entry.address.a in result.octets for entry in result.candidates)
+        assert result.stats["first_layer_bytes"] == len(result.octets) * 65536 * 8
+    # the owners are the ones the first batch's distinct values give
+    plan = PartitionPlan.by_value_share(np.unique(values[:batch_records]), workers)
+    assert [result.octets for result in results] == [plan.worker_octets(w) for w in range(workers)]
+
+
+class TestReaderAhead:
+    # one address twice a batch, so the second batch that holds it overflows a
+    # count capped at 3; later batches are already being read by then
+    ADDRESSES = [(200 << 24) | 1] * 2 + [(1 << 24) | 1] * 2 + [(200 << 24) | 1] * 2 + [(7 << 24) | 9] * 6
+
+    def test_worker_overflow_on_a_later_batch_raises_and_joins_the_pool(self, monkeypatch):
+        monkeypatch.setattr(model, "BATCH_RECORDS", 2)
+        monkeypatch.setattr(model, "_MAX_COUNT", np.uint64(3))
+        calls = []
+        add_runs = TlmbCounter.add_runs
+
+        def counting_add_runs(self, values, counts):
+            calls.append(int(values[0]) >> 24)
+            return add_runs(self, values, counts)
+
+        monkeypatch.setattr(TlmbCounter, "add_runs", counting_add_runs)
+        threads = threading.active_count()
+        for workers in (2, 4):
+            calls.clear()
+            with pytest.raises(CountOverflow):
+                query(ArraySource(np.array(self.ADDRESSES, dtype=np.uint32)), "tlmb", 1, workers)
+            # the first batch counted, the third failed, and nothing was handed out after it
+            assert calls == [200, 1, 200]
+            assert threading.active_count() == threads
+
+    def test_no_counter_takes_two_batches_at_once(self, monkeypatch):
+        # more workers than cores, fast thread switching, many small batches
+        monkeypatch.setattr(model, "BATCH_RECORDS", 64)
+        busy, overlaps = set(), []
+        add_runs = TlmbCounter.add_runs
+
+        def guarded_add_runs(self, values, counts):
+            if id(self) in busy:
+                overlaps.append(id(self))
+            busy.add(id(self))
+            try:
+                return add_runs(self, values, counts)
+            finally:
+                busy.discard(id(self))
+
+        monkeypatch.setattr(TlmbCounter, "add_runs", guarded_add_runs)
+        values = random_addresses(np.random.default_rng(607), 20_000, first_octet_cap=16)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            entries, stats = query(ArraySource(values), "tlmb", 20, 8)
+        finally:
+            sys.setswitchinterval(interval)
+        assert as_pairs(entries) == oracle_top_k(values, 20)
+        assert stats["records_ingested"] == values.size and not overlaps
+
+    def test_cli_exits_2(self, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "overflow.bin"
+        write_binary(path, np.array(self.ADDRESSES, dtype=np.uint32))
+        monkeypatch.setattr(model, "BATCH_RECORDS", 2)
+        monkeypatch.setattr(model, "_MAX_COUNT", np.uint64(3))
+        threads = threading.active_count()
+        assert main(["topk", "--method", "tlmb", "--k", "1", "--input", str(path), "--workers", "2"]) == 2
+        assert "exceed the 64-bit range" in capsys.readouterr().err
+        assert threading.active_count() == threads
 
 
 class TestSerialParallelEquivalence:
