@@ -82,11 +82,7 @@ def query(source, method: str, k: int, workers: int = 1) -> tuple[list[HeapEntry
         # an ssmb plan and all its workers share one spill of the source; a
         # tlmb plan without owners is cut from the first batch it reads
         with spilled(source) if method == "ssmb" else nullcontext(source) as data:
-            if method == "ssmb":
-                plan = PartitionPlan.for_source(data, method, workers)
-            else:
-                plan = PartitionPlan(method, workers)
-            entries, results = run_parallel(data, plan, k)
+            entries, results = run_parallel(data, PartitionPlan.for_source(data, method, workers), k)
         stats = {"workers": len(results)}
         for result in results:
             for key, value in result.stats.items():

@@ -9,7 +9,8 @@ address is counted wholly by one worker and worker results never overlap:
   query's plan is cut from the first batch: at first-octet boundaries,
   so that each worker owns about 1/W of its distinct addresses, and the
   owners still cover every octet once, so later batches are counted
-  exactly wherever they fall. ``by_prefix_bits`` keeps the even cut by
+  exactly wherever they fall; the split is even when the first batch's
+  first-octet mix is the stream's. ``by_prefix_bits`` keeps the even cut by
   leading address bits. The input is read once; each batch is reduced
   to its ascending distinct addresses and their counts, and since
   ownership is monotone in the address, one cut at the owners' start
@@ -109,14 +110,15 @@ class PartitionPlan:
 
     @classmethod
     def for_source(cls, source, method: str, workers: int) -> "PartitionPlan":
-        """Build the even plan for a method and worker count.
+        """Build the plan for a method and worker count.
 
-        An ssmb plan takes its first octets from ``source`` when it is an
-        ``OctetSpill``, and otherwise lists them with one more pass.
+        A tlmb plan has no owners yet: its query cuts them from the first
+        batch it reads. An ssmb plan takes its first octets from ``source``
+        when it is an ``OctetSpill``, and otherwise lists them with one more
+        pass.
         """
         if method == "tlmb":
-            cls(method="tlmb", workers=workers)  # checks the worker count
-            return cls.by_prefix_bits(workers.bit_length() - 1)
+            return cls(method="tlmb", workers=workers)
         if method == "ssmb":
             if workers < 1:
                 raise InvalidPlan(f"worker count must be at least 1, got {workers}")
@@ -134,18 +136,19 @@ class PartitionPlan:
     def worker_octets(self, ordinal: int) -> list[int]:
         """The first octets one worker owns: a tlmb range, or its ssmb subset passes."""
         if self.method == "tlmb":
+            if not self.octets:
+                raise InvalidPlan("a tlmb plan without owners has no worker octets yet")
             return list(range(self.octets[ordinal], (*self.octets, 256)[ordinal + 1]))
         return list(self.octets[ordinal :: self.workers])
 
 
 @dataclass
 class WorkerResult:
-    """One worker's local outcome: its first octets, candidates and counter stats."""
+    """One worker's local outcome: its candidates and counter stats."""
 
     ordinal: int
     candidates: list[HeapEntry] = field(default_factory=list)
     stats: dict = field(default_factory=dict)
-    octets: list[int] = field(default_factory=list)
 
 
 def run_parallel(source, plan: PartitionPlan, k: int) -> tuple[list[HeapEntry], list[WorkerResult]]:
@@ -167,7 +170,7 @@ def _run_tlmb(source, plan: PartitionPlan, k: int) -> list[WorkerResult]:
         values, counts = next(runs, _NO_RUNS)
         if not plan.octets:
             plan = PartitionPlan.by_value_share(values, plan.workers)
-        owned = [plan.worker_octets(w) for w in range(plan.workers)]
+        owned = (plan.worker_octets(w) for w in range(plan.workers))
         counters = [TlmbCounter(first_octet_base=o[0], first_octet_span=len(o)) for o in owned]
         while values.size:
             cuts = plan.bounds(values)
@@ -181,10 +184,7 @@ def _run_tlmb(source, plan: PartitionPlan, k: int) -> list[WorkerResult]:
             for future in futures:
                 future.result()
         tops = [pool.submit(counter.top_k, k) for counter in counters]
-        return [
-            WorkerResult(w, top.result(), counter.stats(), octets)
-            for w, (counter, top, octets) in enumerate(zip(counters, tops, owned))
-        ]
+        return [WorkerResult(w, top.result(), counter.stats()) for w, (counter, top) in enumerate(zip(counters, tops))]
 
 
 def _run_ssmb(source, plan: PartitionPlan, k: int) -> list[WorkerResult]:
@@ -192,7 +192,7 @@ def _run_ssmb(source, plan: PartitionPlan, k: int) -> list[WorkerResult]:
         octets = plan.worker_octets(ordinal)
         counter = SsmbCounter()
         candidates = counter.top_k(spill, k, octets=octets) if octets else []
-        return WorkerResult(ordinal, candidates, counter.stats(), octets)
+        return WorkerResult(ordinal, candidates, counter.stats())
 
     # the pool joins its workers before the spill they share is closed
     with spilled(source) as spill, ThreadPoolExecutor(max_workers=plan.workers) as pool:

@@ -76,8 +76,9 @@ class TestPlans:
         source = ArraySource(np.array([1], dtype=np.uint32))
         with pytest.raises(InvalidPlan):
             PartitionPlan.for_source(source, "tlmb", 3)
+        # the owners are left for the query to cut from its first batch
         plan = PartitionPlan.for_source(source, "tlmb", 8)
-        assert plan.prefix_bits == 3
+        assert plan.workers == 8 and plan.octets == ()
 
     def test_for_source_ssmb_clamps_to_subset_count(self):
         values = np.array([to_u32(parse_dotted("1.0.0.1")), to_u32(parse_dotted("2.0.0.1"))], dtype=np.uint32)
@@ -126,6 +127,8 @@ class TestValueSharePlans:
         assert plan.bounds(values) == [0, 2, 4]
         with pytest.raises(InvalidPlan, match="with owners"):
             PartitionPlan(method="tlmb", workers=2).bounds(values)
+        with pytest.raises(InvalidPlan, match="without owners"):
+            PartitionPlan(method="tlmb", workers=2).worker_octets(0)
 
     def test_invalid_owner_starts(self):
         # too few, not from 0, repeated, descending, past 255
@@ -211,16 +214,24 @@ def first_batch_cases(draw):
 def test_first_batch_plan_matches_serial_and_oracle(case, workers, k):
     batch_records, values = case
     source = ArraySource(values)
-    runs = []
+    runs, plans = [], []
+    by_value_share = PartitionPlan.by_value_share
 
     def recording_run_parallel(data, plan, k):
         merged, results = run_parallel(data, plan, k)
         runs.append(results)
         return merged, results
 
+    def recording_by_value_share(first_values, workers):
+        plans.append((first_values, by_value_share(first_values, workers)))
+        return plans[-1][1]
+
     with mock.patch.object(model, "BATCH_RECORDS", batch_records):
         serial, serial_stats = query(source, "tlmb", k)
-        with mock.patch.object(bench, "run_parallel", recording_run_parallel):
+        with (
+            mock.patch.object(bench, "run_parallel", recording_run_parallel),
+            mock.patch.object(PartitionPlan, "by_value_share", recording_by_value_share),
+        ):
             entries, stats = query(source, "tlmb", k, workers)
     assert as_pairs(entries) == oracle_top_k(values, k)
     assert entries == serial
@@ -229,15 +240,17 @@ def test_first_batch_plan_matches_serial_and_oracle(case, workers, k):
     assert stats["first_layer_bytes"] == 134_217_728
     assert stats["workers"] == workers and source.replays == 2
     (results,) = runs
-    # the owners are contiguous, non-empty and cover octets 0..255 once, in worker order
-    assert [octet for result in results for octet in result.octets] == list(range(256))
-    assert all(result.octets for result in results)
-    for result in results:
-        assert all(entry.address.a in result.octets for entry in result.candidates)
-        assert result.stats["first_layer_bytes"] == len(result.octets) * 65536 * 8
-    # the owners are the ones the first batch's distinct values give
-    plan = PartitionPlan.by_value_share(np.unique(values[:batch_records]), workers)
-    assert [result.octets for result in results] == [plan.worker_octets(w) for w in range(workers)]
+    # the owners are cut from the first batch's distinct values
+    ((first_values, plan),) = plans
+    assert first_values.tolist() == np.unique(values[:batch_records]).tolist()
+    owned = [plan.worker_octets(w) for w in range(workers)]
+    # they are contiguous, non-empty and cover octets 0..255 once, in worker order
+    assert [octet for part in owned for octet in part] == list(range(256))
+    assert all(owned)
+    assert [result.ordinal for result in results] == list(range(workers))
+    for result, octets in zip(results, owned):
+        assert all(entry.address.a in octets for entry in result.candidates)
+        assert result.stats["first_layer_bytes"] == len(octets) * 65536 * 8
 
 
 class TestReaderAhead:
