@@ -29,7 +29,6 @@ import csv
 import resource
 import statistics
 import time
-from contextlib import nullcontext
 from dataclasses import dataclass, fields
 
 from .baselines import HashCounter, IpMapCounter
@@ -37,7 +36,7 @@ from .datagen import load_truth
 from .errors import InvalidPlan, ValidationFailure
 from .model import FileSource, to_u32
 from .parallel import PartitionPlan, run_parallel
-from .ssmb import SsmbCounter, spilled
+from .ssmb import SsmbCounter
 from .tlmb import TlmbCounter
 from .topk import HeapEntry
 
@@ -67,32 +66,30 @@ def query(source, method: str, k: int, workers: int = 1) -> tuple[list[HeapEntry
     """One complete top-k query over a record source; returns (entries, stats).
 
     Every method opens ``source`` once. ssmb reads it into a spill and runs
-    its subset passes over that. With ``workers > 1`` the query is
-    partitioned (tlmb and ssmb only); its stats carry every key of the
-    serial stats, each the sum of the workers', plus ``workers``, except
-    ssmb's ``spill_bytes``: the workers share one spill.
+    its subset passes over that; with ``workers > 1`` it still runs them
+    over one block, swept on that many threads (at most 256), so its stats
+    are one counter's for every W: one block of ``tracked_bytes``,
+    ``passes`` == q, one ``spill_bytes``, and ``workers``, the sweep ranges.
+    tlmb with ``workers > 1`` is partitioned; its stats carry every key of
+    the serial stats, each the sum of the workers', plus ``workers``.
     """
     if method not in METHODS:
         raise InvalidPlan(f"unknown method {method!r}; choose from {', '.join(METHODS)}")
     if workers < 1:
         raise InvalidPlan(f"worker count must be at least 1, got {workers}")
+    if method == "ssmb":
+        counter = SsmbCounter(workers)
+        return counter.top_k(source, k), counter.stats()
     if workers > 1:
-        if method not in ("tlmb", "ssmb"):
+        if method != "tlmb":
             raise InvalidPlan(f"method {method!r} has no partition scheme; run it with workers=1")
-        # an ssmb plan and all its workers share one spill of the source; a
-        # tlmb plan without owners is cut from the first batch it reads
-        with spilled(source) if method == "ssmb" else nullcontext(source) as data:
-            entries, results = run_parallel(data, PartitionPlan.for_source(data, method, workers), k)
+        # the plan has no owners yet: the query cuts them from the first batch it reads
+        entries, results = run_parallel(source, PartitionPlan.for_source(source, method, workers), k)
         stats = {"workers": len(results)}
         for result in results:
             for key, value in result.stats.items():
                 stats[key] = stats.get(key, 0) + value
-        if method == "ssmb":
-            stats["spill_bytes"] = data.spill_bytes  # one spill, shared by every worker
         return entries, stats
-    if method == "ssmb":
-        counter = SsmbCounter()
-        return counter.top_k(source, k), counter.stats()
     counter = COUNTERS[method]()
     for batch in source.open().batches():
         counter.ingest_many(batch)

@@ -104,9 +104,9 @@ class RecordStream:
     """Single-consumer stream of addresses from one pass over a source.
 
     ``batches()`` yields the non-empty uint32 arrays of a decoder's
-    ``(array, skipped)`` pairs in file order; ``read_all()`` drains them
-    into one. ``records_read`` counts yielded records, ``malformed_skipped``
-    sums the skip counts (records dropped in lenient mode).
+    ``(array, skipped)`` pairs in file order. ``records_read`` counts
+    yielded records, ``malformed_skipped`` sums the skip counts (records
+    dropped in lenient mode).
     """
 
     def __init__(self, batches: Iterator[tuple[np.ndarray, int]]):
@@ -124,10 +124,6 @@ class RecordStream:
             if batch.size:
                 self.records_read += batch.size
                 yield batch
-
-    def read_all(self) -> np.ndarray:
-        """Drain the stream into one uint32 array."""
-        return np.concatenate([np.empty(0, dtype=np.uint32), *self.batches()])
 
 
 def open_stream(path, fmt: str = "auto", lenient: bool = False) -> RecordStream:

@@ -1,26 +1,24 @@
-"""In-process parallel top-k: partition the work, merge worker candidates.
+"""In-process parallel tlmb top-k: partition the work, merge worker candidates.
 
-Both memory-block counters split cleanly along the first octet, so every
-address is counted wholly by one worker and worker results never overlap:
+The two-layer counter splits cleanly along the first octet, so every
+address is counted wholly by one worker and worker results never overlap.
+Worker w owns the first octets [octets[w], octets[w + 1]) of its plan's
+ascending start octets, and runs a counter narrowed to them, so the
+workers' handle tables add up to one full-range counter's. The query's
+plan is cut from the first batch: at first-octet boundaries, so that each
+worker owns about 1/W of its distinct addresses, and the owners still
+cover every octet once, so later batches are counted exactly wherever they
+fall; the split is even when the first batch's first-octet mix is the
+stream's. ``by_prefix_bits`` keeps the even cut by leading address bits.
+The input is read once; each batch is reduced to its ascending distinct
+addresses and their counts, and since ownership is monotone in the
+address, one cut at the owners' start addresses hands every worker its own
+slice of those runs. The reading thread decodes and aggregates the next
+batch while the workers count this one, and waits for them before it hands
+out the next.
 
-* tlmb — worker w owns the first octets [octets[w], octets[w + 1]) of its
-  plan's ascending start octets, and runs a counter narrowed to them, so
-  the workers' handle tables add up to one full-range counter's. The
-  query's plan is cut from the first batch: at first-octet boundaries,
-  so that each worker owns about 1/W of its distinct addresses, and the
-  owners still cover every octet once, so later batches are counted
-  exactly wherever they fall; the split is even when the first batch's
-  first-octet mix is the stream's. ``by_prefix_bits`` keeps the even cut by
-  leading address bits. The input is read once; each batch is reduced
-  to its ascending distinct addresses and their counts, and since
-  ownership is monotone in the address, one cut at the owners' start
-  addresses hands every worker its own slice of those runs. The reading
-  thread decodes and aggregates the next batch while the workers count
-  this one, and waits for them before it hands out the next.
-* ssmb — the input is decoded once into one ``OctetSpill``, whose first
-  octets are dealt round-robin over the workers; each worker runs its own
-  subset passes over its octets' runs in that shared spill (and has its
-  own count block, so memory is one block per worker).
+ssmb runs no plan: ``SsmbCounter(workers=W)`` sweeps its one block on W
+threads. ``by_first_octets`` still deals first octets round-robin.
 
 Each worker reports its local top-k candidates; a coordinator heap merges
 them. An address's global count appears intact in exactly one worker's
@@ -38,7 +36,7 @@ import numpy as np
 
 from .errors import InvalidPlan
 from .model import aggregate
-from .ssmb import OctetSpill, SsmbCounter, discover_subsets, first_octets, spilled
+from .ssmb import first_octets
 from .tlmb import TlmbCounter
 from .topk import HeapEntry, merge_top_k
 
@@ -112,19 +110,12 @@ class PartitionPlan:
     def for_source(cls, source, method: str, workers: int) -> "PartitionPlan":
         """Build the plan for a method and worker count.
 
-        A tlmb plan has no owners yet: its query cuts them from the first
-        batch it reads. An ssmb plan takes its first octets from ``source``
-        when it is an ``OctetSpill``, and otherwise lists them with one more
-        pass.
+        Only tlmb queries are partitioned. Their plan has no owners yet: the
+        query cuts them from the first batch it reads.
         """
         if method == "tlmb":
             return cls(method="tlmb", workers=workers)
-        if method == "ssmb":
-            if workers < 1:
-                raise InvalidPlan(f"worker count must be at least 1, got {workers}")
-            octets = source.octets if isinstance(source, OctetSpill) else discover_subsets(source)
-            return cls.by_first_octets(octets, min(workers, max(len(octets), 1)))
-        raise InvalidPlan(f"unknown method {method!r}")
+        raise InvalidPlan(f"method {method!r} has no partition plan")
 
     def bounds(self, values: np.ndarray) -> list[int]:
         """Cut ascending uint32 ``values`` by tlmb owner: worker w owns values[b[w]:b[w + 1]]."""
@@ -152,11 +143,10 @@ class WorkerResult:
 
 
 def run_parallel(source, plan: PartitionPlan, k: int) -> tuple[list[HeapEntry], list[WorkerResult]]:
-    """Run one partitioned top-k; returns (merged entries, worker results)."""
-    if plan.method == "tlmb":
-        results = _run_tlmb(source, plan, k)
-    else:
-        results = _run_ssmb(source, plan, k)
+    """Run one partitioned tlmb top-k; returns (merged entries, worker results)."""
+    if plan.method != "tlmb":
+        raise InvalidPlan("only tlmb plans run partitioned; ssmb sweeps one block with SsmbCounter(workers=W)")
+    results = _run_tlmb(source, plan, k)
     merged = merge_top_k((r.candidates for r in results), k)
     return merged, results
 
@@ -186,14 +176,3 @@ def _run_tlmb(source, plan: PartitionPlan, k: int) -> list[WorkerResult]:
         tops = [pool.submit(counter.top_k, k) for counter in counters]
         return [WorkerResult(w, top.result(), counter.stats()) for w, (counter, top) in enumerate(zip(counters, tops))]
 
-
-def _run_ssmb(source, plan: PartitionPlan, k: int) -> list[WorkerResult]:
-    def work(spill: OctetSpill, ordinal: int) -> WorkerResult:
-        octets = plan.worker_octets(ordinal)
-        counter = SsmbCounter()
-        candidates = counter.top_k(spill, k, octets=octets) if octets else []
-        return WorkerResult(ordinal, candidates, counter.stats())
-
-    # the pool joins its workers before the spill they share is closed
-    with spilled(source) as spill, ThreadPoolExecutor(max_workers=plan.workers) as pool:
-        return list(pool.map(work, [spill] * plan.workers, range(plan.workers)))

@@ -12,16 +12,20 @@ every first octet's runs; ``spilled(source)`` builds the spill and closes
 it. The first octets present fall out of this pass, so no separate
 discovery pass is needed. Each subset pass then reads back only its own
 octet's runs, adds them at slot b*65536 + c*256 + d (the low 24 bits of
-the address), and sweeps the block into one top-k heap shared by all
-passes (``offer_block``, ipmap's sweep too): one read of the whole block
-names its live (non-zero) 512-slot tiles, and only those are scanned and
-then re-zeroed, so the next pass starts from an all-zero block.
+the address), and sweeps the block (``offer_block``, ipmap's sweep too):
+one read of the block names its live (non-zero) 512-slot tiles, and only
+those are scanned and then re-zeroed, so the next pass starts from an
+all-zero block.
 
-Because each address belongs to exactly one subset, the heap ends up
-holding the global top-k, while tracked memory stays a flat 134,217,728
-bytes no matter how many records or distinct addresses the source holds.
-The spill is on disk (``tempfile.TemporaryFile``, so it honours TMPDIR);
-its size is reported as ``spill_bytes`` and is never part of
+The calling thread scatters each pass's runs (about one entry per distinct
+address); then W threads (``workers=W``) each sweep and re-zero one
+contiguous, tile-aligned slot range of the block (``sweep_ranges``) into
+their own top-k heap, kept across every pass and merged once at the end.
+Each address lies in exactly one (subset, range) pair, so the result is
+the global top-k for every W, while tracked memory stays a flat
+134,217,728 bytes, whatever the records, distinct addresses or W. The
+spill is on disk (``tempfile.TemporaryFile``, so it honours TMPDIR); its
+size is reported as ``spill_bytes`` and is never part of
 ``tracked_bytes``. The trade is passes for memory: one pass per distinct
 first octet present, each over its own runs and one read of the block.
 """
@@ -31,6 +35,7 @@ from __future__ import annotations
 import errno
 import os
 import tempfile
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from typing import Callable, Iterable, Iterator
 
@@ -38,13 +43,14 @@ import numpy as np
 
 from .errors import InvalidPlan
 from .model import aggregate, checked_add, octet_runs
-from .topk import HeapEntry, TopKHeap
+from .topk import HeapEntry, TopKHeap, merge_top_k
 
 BLOCK_SLOTS = 1 << 24
 BLOCK_BYTES = BLOCK_SLOTS * 8
 
 TILE_SLOTS = 512  # the sweep's coarse layer: 4 KiB tiles
 GROUP_TILES = 128  # live tiles scanned per step, so each tile copy is 512 KiB
+MAX_SWEEP_RANGES = 256
 
 # one spilled run entry: a distinct address's low-24 slot and its count
 RUN = np.dtype([("slot", "<u4"), ("count", "<u8")])
@@ -128,13 +134,13 @@ def spilled(source) -> Iterator[OctetSpill]:
         spill._file.close()
 
 
-def offer_block(heap: TopKHeap, block: np.ndarray, octet: int) -> tuple[int, np.ndarray]:
+def offer_block(heap: TopKHeap, block: np.ndarray, octet: int, base: int = 0) -> tuple[int, np.ndarray]:
     """Offer a count block's non-zero slots to ``heap``; returns (their sum, live tiles).
 
-    Slot s of the 2**24-slot block counts the address ``octet << 24 | s``.
-    One read of every byte names the live ``TILE_SLOTS``-slot tiles; only
-    they are scanned, ``GROUP_TILES`` at a time. Zeroing the returned
-    tiles clears every non-zero slot.
+    Slot s of ``block``, a whole number of tiles, counts the address
+    ``octet << 24 | base + s``. One read of every byte names the live
+    ``TILE_SLOTS``-slot tiles; only they are scanned, ``GROUP_TILES`` at a
+    time. Zeroing the returned tiles clears every non-zero slot.
     """
     tiles = block.reshape(-1, TILE_SLOTS)
     live = np.flatnonzero(tiles.view(np.uint8).max(axis=1))
@@ -144,10 +150,20 @@ def offer_block(heap: TopKHeap, block: np.ndarray, octet: int) -> tuple[int, np.
         scan = tiles[group].ravel()
         hits = np.flatnonzero(scan != 0)
         values = scan[hits]
-        slots = (group[hits // TILE_SLOTS] * TILE_SLOTS + hits % TILE_SLOTS).astype(np.uint32)
+        slots = (base + group[hits // TILE_SLOTS] * TILE_SLOTS + hits % TILE_SLOTS).astype(np.uint32)
         heap.offer_many(np.uint32(octet << 24) | slots, values)
         total += int(values.sum())
     return total, live
+
+
+def sweep_ranges(workers: int) -> list[tuple[int, int]]:
+    """Contiguous tile-aligned [lo, hi) slot ranges covering the block, one per sweep thread (at most 256)."""
+    if workers < 1:
+        raise InvalidPlan(f"worker count must be at least 1, got {workers}")
+    count = min(workers, MAX_SWEEP_RANGES)
+    tiles = BLOCK_SLOTS // TILE_SLOTS
+    edges = [w * tiles // count * TILE_SLOTS for w in range(count + 1)]
+    return list(zip(edges[:-1], edges[1:]))
 
 
 class SsmbCounter:
@@ -155,11 +171,13 @@ class SsmbCounter:
 
     The block is allocated lazily on the first query and reused across
     passes and across queries, so a counter's tracked footprint is one
-    block, always. A pass that raises drops the block, so no count it
-    left behind reaches the next query.
+    block, always, for any ``workers``: that many threads sweep disjoint
+    slot ranges of it in each pass. A pass that raises, in any thread,
+    drops the block, so no count it left behind reaches the next query.
     """
 
-    def __init__(self):
+    def __init__(self, workers: int = 1):
+        self._ranges = sweep_ranges(workers)
         self._block: np.ndarray | None = None
         self._records = 0
         self._passes = 0
@@ -177,44 +195,52 @@ class SsmbCounter:
 
         ``source`` is either a record source, which is read once into a
         spill that is closed before returning, or an ``OctetSpill`` the
-        caller built and still owns (parallel workers share one).
-        ``octets`` fixes the subset passes (ascending distinct first
-        octets); when omitted, every first octet in the spill gets a pass.
-        ``pass_hook(octet, pass_stats)`` runs after each subset pass with
-        that pass's record count, the block's slot-value sum, and the
-        counter stats — slot_sum == pass_records iff the block really
-        started the pass all-zero.
+        caller built and still owns. ``octets`` fixes the subset passes
+        (ascending distinct first octets); when omitted, every first octet
+        in the spill gets a pass. ``pass_hook(octet, pass_stats)`` runs on
+        the calling thread after each subset pass with that pass's record
+        count, the block's slot-value sum over every range, and the counter
+        stats — slot_sum == pass_records iff the block really started the
+        pass all-zero.
         """
         if octets is not None:
             octets = first_octets(octets)
-        with spilled(source) as spill:
+        heaps = [TopKHeap(k) for _ in self._ranges]
+        # the pool joins its threads before the spill closes; one range needs none
+        with spilled(source) as spill, ThreadPoolExecutor(max(len(heaps) - 1, 1)) as pool:
             if octets is None:
                 octets = spill.octets
             self._q = len(octets)
             self._records = 0
             self._passes = 0
             self._spill_bytes = spill.spill_bytes
-            heap = TopKHeap(k)
             for octet in octets:
-                pass_records, slot_sum = self._run_pass(spill, octet, heap)
+                pass_records, slot_sum = self._run_pass(spill, octet, heaps, pool)
                 if pass_hook is not None:
                     hooked = dict(self.stats())
                     hooked.update(octet=octet, pass_records=pass_records, slot_sum=slot_sum)
                     pass_hook(octet, hooked)
-        return heap.drain_sorted()
+        return merge_top_k((heap.drain_sorted() for heap in heaps), k)
 
-    def _run_pass(self, spill: OctetSpill, octet: int, heap: TopKHeap) -> tuple[int, int]:
+    def _run_pass(self, spill: OctetSpill, octet: int, heaps: list[TopKHeap], pool) -> tuple[int, int]:
         if self._block is None:
             self._block = np.zeros(BLOCK_SLOTS, dtype=np.uint64)
         block = self._block
+
+        def sweep(heap: TopKHeap, lo: int, hi: int) -> int:
+            part = block[lo:hi]
+            slot_sum, live = offer_block(heap, part, octet, lo)
+            part.reshape(-1, TILE_SLOTS)[live] = 0
+            return slot_sum
+
         pass_records = 0
         try:
             for slots, counts in spill.runs(octet):
                 slots = slots.astype(np.int64)
                 block[slots] = checked_add(block[slots], counts)
                 pass_records += int(counts.sum())
-            slot_sum, live = offer_block(heap, block, octet)
-            block.reshape(-1, TILE_SLOTS)[live] = 0
+            futures = [pool.submit(sweep, heap, *bounds) for heap, bounds in zip(heaps[1:], self._ranges[1:])]
+            slot_sum = sweep(heaps[0], *self._ranges[0]) + sum(future.result() for future in futures)
         except BaseException:
             self._block = None
             raise
@@ -229,4 +255,5 @@ class SsmbCounter:
             "passes": self._passes,
             "tracked_bytes": BLOCK_BYTES,
             "spill_bytes": self._spill_bytes,
+            "workers": len(self._ranges),
         }

@@ -50,6 +50,11 @@ def random_addresses(rng: np.random.Generator, n: int, first_octet_cap: int = 25
     return rng.integers(0, space, size=n, dtype=np.uint64).astype(np.uint32)
 
 
+def read_all(stream) -> np.ndarray:
+    """Drain a RecordStream into one uint32 array."""
+    return np.concatenate([np.empty(0, dtype=np.uint32), *stream.batches()])
+
+
 class SingleUseSource:
     """Record source over one open stream: it opens once, like a pipe."""
 

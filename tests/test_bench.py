@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import as_pairs, oracle_top_k
+from conftest import as_pairs, oracle_top_k, read_all
 from ipstat import (
     CountOverflow,
     DatasetSpec,
@@ -43,7 +43,7 @@ class TestRunMethod:
         truth = load_truth(truth_path)
         from ipstat import open_stream
 
-        values = open_stream(path).read_all()
+        values = read_all(open_stream(path))
         for method in ("tlmb", "ssmb", "hash", "ipmap"):
             entries, stats = run_method(path, method, 10)
             assert as_pairs(entries) == oracle_top_k(values, 10) == truth[:10], method

@@ -83,6 +83,26 @@ class TestTopk:
         assert outputs[0] == outputs[1]
         assert len(outputs[0].splitlines()) == 10
 
+    def test_ssmb_workers_keep_exit_codes(self, tmp_path, capsys):
+        data = tmp_path / "d.txt"
+        run_cli("gen", "--records", "20000", "--distinct", "300", "--seed", "7",
+                "--first-octet-cap", "3", "--out", str(data))
+        capsys.readouterr()
+        outputs = []
+        # three sweep ranges are uneven
+        for workers in ("1", "3"):
+            assert run_cli("topk", "--method", "ssmb", "--k", "10", "--input", str(data), "--workers", workers) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert len(outputs[0].splitlines()) == 10
+        bad = tmp_path / "bad.txt"
+        bad.write_text("1.2.3.4\n999.1.1.1\n")
+        assert run_cli("topk", "--method", "ssmb", "--k", "1", "--input", str(bad), "--workers", "3") == 2
+        assert "line 2" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as err:
+            run_cli("topk", "--method", "ssmb", "--k", "1", "--input", str(data), "--workers", "0")
+        assert err.value.code == 1
+
     def test_binary_input(self, tmp_path, capsys):
         data = tmp_path / "d.bin"
         run_cli("gen", "--records", "500", "--distinct", "5", "--seed", "3",

@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from conftest import oracle_top_k
+from conftest import oracle_top_k, read_all
 from ipstat import (
     DatasetSpec,
     GroundTruthMismatch,
@@ -110,7 +110,7 @@ class TestGenerateAndVerify:
         assert report["distinct_written"] == 400
         assert report["ground_truth_path"] == str(tmp_path / "ds.txt.truth")
         stream = open_stream(out)
-        values = stream.read_all()
+        values = read_all(stream)
         assert values.size == 20_000
         assert np.unique(values).size == 400
 
@@ -133,7 +133,7 @@ class TestGenerateAndVerify:
         out = tmp_path / "ds.bin"
         generate(spec, out)
         assert out.read_bytes()[:4] == b"IPR1"
-        assert open_stream(out).read_all().size == 3000
+        assert read_all(open_stream(out)).size == 3000
 
     def test_truth_sidecar_ordering_and_totals(self, tmp_path):
         spec = DatasetSpec(records=10_000, distinct=200, seed=17)
@@ -145,7 +145,7 @@ class TestGenerateAndVerify:
         keys = [(-count, value) for value, count in truth]
         assert keys == sorted(keys)
         # sidecar equals an independent recount of the emitted file
-        values = open_stream(out).read_all()
+        values = read_all(open_stream(out))
         assert truth[:50] == oracle_top_k(values, 50)
 
     def test_verify_accepts_fresh_pair(self, tmp_path):

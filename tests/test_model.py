@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from conftest import SingleUseSource, property_settings, random_addresses
+from conftest import SingleUseSource, property_settings, random_addresses, read_all
 from ipstat import model
 from ipstat import (
     ArraySource,
@@ -73,7 +73,7 @@ class TestAddressForm:
 
 def dotted(stream) -> list[str]:
     """Every address of a stream, in order, as dotted-quad text."""
-    return [str(from_u32(value)) for value in stream.read_all().tolist()]
+    return [str(from_u32(value)) for value in read_all(stream).tolist()]
 
 
 class TestTextFormat:
@@ -99,14 +99,14 @@ class TestTextFormat:
         path = tmp_path / "bad.txt"
         path.write_text("1.1.1.1\n2.2.2.2\n1.1.1\n3.3.3.3\n")
         with pytest.raises(MalformedAddress) as err:
-            open_stream(path).read_all()
+            read_all(open_stream(path))
         assert "line 3" in str(err.value)
 
     def test_strict_short_line_one(self, tmp_path):
         path = tmp_path / "short.txt"
         path.write_text("1.1.1\n")
         with pytest.raises(MalformedAddress) as err:
-            open_stream(path).read_all()
+            read_all(open_stream(path))
         assert "line 1" in str(err.value)
 
     def test_strict_octet_out_of_range_in_clean_file(self, tmp_path):
@@ -114,7 +114,7 @@ class TestTextFormat:
         path = tmp_path / "range.txt"
         path.write_text("1.1.1.1\n2.2.2.300\n")
         with pytest.raises(OctetOutOfRange) as err:
-            open_stream(path).read_all()
+            read_all(open_stream(path))
         assert "line 2" in str(err.value)
         assert "part '300' exceeds 255 in '2.2.2.300'" in str(err.value)
 
@@ -133,7 +133,7 @@ class TestTextFormat:
         path = tmp_path / "big.txt"
         with open(path, "w") as handle:
             handle.writelines(f"{from_u32(int(v))}\n" for v in values.tolist())
-        back = open_stream(path).read_all()
+        back = read_all(open_stream(path))
         assert np.array_equal(back, values)
 
     def test_batches_single_consumer(self, tmp_path):
@@ -250,7 +250,7 @@ class TestDecoderDifferential:
 
         def decode():
             stream = open_stream(path, fmt="text", lenient=lenient)
-            return stream.read_all().tolist(), stream.malformed_skipped
+            return read_all(stream).tolist(), stream.malformed_skipped
 
         with (
             mock.patch.object(model, "TEXT_CHUNK_BYTES", chunk_bytes),
@@ -264,7 +264,7 @@ class TestDecoderDifferential:
             path = tmp_path / "stray.txt"
             path.write_bytes(data)
             with pytest.raises(MalformedAddress) as caught:
-                open_stream(path).read_all()
+                read_all(open_stream(path))
             assert caught.value.line_number == 1
 
 
@@ -276,7 +276,7 @@ class TestBinaryFormat:
         write_binary(path, values)
         assert path.read_bytes()[:4] == b"IPR1"
         stream = open_stream(path)
-        assert np.array_equal(stream.read_all(), values)
+        assert np.array_equal(read_all(stream), values)
         assert stream.records_read == values.size
 
     def test_header_layout(self, tmp_path):
@@ -314,7 +314,7 @@ class TestBinaryFormat:
     def test_empty_body(self, tmp_path):
         path = tmp_path / "empty.bin"
         write_binary(path, np.empty(0, dtype=np.uint32))
-        assert open_stream(path).read_all().size == 0
+        assert read_all(open_stream(path)).size == 0
 
 
 class TestSources:
@@ -322,22 +322,22 @@ class TestSources:
         path = tmp_path / "r.txt"
         path.write_text("1.1.1.1\n2.2.2.2\n")
         source = FileSource(path)
-        first = source.open().read_all()
-        second = source.open().read_all()
+        first = read_all(source.open())
+        second = read_all(source.open())
         assert np.array_equal(first, second)
         assert source.replays == 2
 
     def test_array_source_replays(self):
         values = np.array([1, 2, 3], dtype=np.uint32)
         source = ArraySource(values)
-        assert np.array_equal(source.open().read_all(), values)
-        assert np.array_equal(source.open().read_all(), values)
+        assert np.array_equal(read_all(source.open()), values)
+        assert np.array_equal(read_all(source.open()), values)
         assert source.replays == 2
 
     def test_single_use_source(self, tmp_path):
         path = tmp_path / "s.txt"
         path.write_text("1.1.1.1\n")
         source = SingleUseSource(open_stream(path))
-        source.open().read_all()
+        read_all(source.open())
         with pytest.raises(RuntimeError, match="already been consumed"):
             source.open()

@@ -16,13 +16,14 @@ from ipstat import (
     InvalidPlan,
     PartitionPlan,
     TlmbCounter,
+    TopKHeap,
     parse_dotted,
     query,
     run_parallel,
     to_u32,
     write_binary,
 )
-from ipstat import bench, model
+from ipstat import bench, model, ssmb
 from ipstat.cli import main
 
 
@@ -80,11 +81,12 @@ class TestPlans:
         plan = PartitionPlan.for_source(source, "tlmb", 8)
         assert plan.workers == 8 and plan.octets == ()
 
-    def test_for_source_ssmb_clamps_to_subset_count(self):
-        values = np.array([to_u32(parse_dotted("1.0.0.1")), to_u32(parse_dotted("2.0.0.1"))], dtype=np.uint32)
-        plan = PartitionPlan.for_source(ArraySource(values), "ssmb", 8)
-        assert plan.workers == 2
-        assert plan.octets == (1, 2)
+    def test_ssmb_plans_do_not_run_partitioned(self):
+        source = ArraySource(np.array([1 << 24], dtype=np.uint32))
+        with pytest.raises(InvalidPlan, match="no partition plan"):
+            PartitionPlan.for_source(source, "ssmb", 2)
+        with pytest.raises(InvalidPlan, match="only tlmb plans"):
+            run_parallel(source, PartitionPlan.by_first_octets([1], 1), 1)
 
 
 class TestValueSharePlans:
@@ -163,12 +165,13 @@ class TestAssignmentProperties:
             cap = int(rng.integers(1, 17))
             workers = int(rng.integers(1, 5))
             batch = random_addresses(rng, 1000, first_octet_cap=cap)
-            plan = PartitionPlan.for_source(ArraySource(batch), "ssmb", workers)
-            per_worker = [plan.worker_octets(w) for w in range(plan.workers)]
-            # every plan octet is owned by exactly one worker, and every record's octet is in the plan
-            flattened = sorted(octet for octets in per_worker for octet in octets)
-            assert flattened == list(plan.octets)
-            assert set((batch >> np.uint32(24)).tolist()) == set(plan.octets)
+            entries, stats = query(ArraySource(batch), "ssmb", batch.size, workers)
+            # every record's first octet gets exactly one pass, over one block, and every record is counted once
+            octets = np.unique(batch >> np.uint32(24)).size
+            assert stats["q"] == stats["passes"] == octets
+            assert stats["records_ingested"] == batch.size and stats["tracked_bytes"] == 134_217_728
+            assert stats["workers"] == workers
+            assert as_pairs(entries) == oracle_top_k(batch, batch.size)
 
 
 @st.composite
@@ -335,9 +338,8 @@ class TestSerialParallelEquivalence:
             values = random_addresses(rng, 8000, first_octet_cap=6)
             source = ArraySource(values)
             serial, _ = query(source, "ssmb", 10)
-            for workers in (1, 2, 4):
-                # the driver runs workers=1 serially; the plan keeps the one-worker partition tested
-                merged, _ = run_parallel(source, PartitionPlan.for_source(source, "ssmb", workers), 10)
+            for workers in (1, 2, 3, 4):
+                merged, _ = query(source, "ssmb", 10, workers)
                 assert merged == serial, f"trial {trial} workers={workers}"
 
     def test_merged_equals_oracle(self):
@@ -363,16 +365,30 @@ class TestWorkerResults:
         assert total["records_ingested"] == values.size
         assert total["workers"] == 4
 
-    def test_ssmb_worker_candidates_stay_in_partition(self):
+    def test_ssmb_worker_candidates_stay_in_partition(self, monkeypatch):
         rng = np.random.default_rng(606)
         values = random_addresses(rng, 5000, first_octet_cap=6)
-        source = ArraySource(values)
-        plan = PartitionPlan.for_source(source, "ssmb", 2)
-        _, results = run_parallel(source, plan, 5)
-        for result in results:
-            owned = set(plan.worker_octets(result.ordinal))
-            for entry in result.candidates:
-                assert entry.address.a in owned
+        offer_block, offer_many = ssmb.offer_block, TopKHeap.offer_many
+        ranges, offered = {}, {}
+
+        def recording_offer_block(heap, block, octet, base=0):
+            ranges.setdefault(id(heap), set()).add((base, base + block.size))
+            return offer_block(heap, block, octet, base)
+
+        def recording_offer_many(heap, addresses, counts):
+            offered.setdefault(id(heap), []).extend(addresses.tolist())
+            return offer_many(heap, addresses, counts)
+
+        monkeypatch.setattr(ssmb, "offer_block", recording_offer_block)
+        monkeypatch.setattr(TopKHeap, "offer_many", recording_offer_many)
+        entries, stats = query(ArraySource(values), "ssmb", 5, 3)
+        assert as_pairs(entries) == oracle_top_k(values, 5)
+        # one heap per sweep range, kept across all six passes
+        assert sorted(r for (r,) in ranges.values()) == ssmb.sweep_ranges(3)
+        assert stats["passes"] == 6
+        for heap, ((lo, hi),) in ranges.items():
+            # each sweep range's candidates lie in that range's slots
+            assert offered[heap] and all(lo <= address & 0xFFFFFF < hi for address in offered[heap])
 
     def test_run_method_rejects_unpartitionable_methods(self):
         from ipstat import run_method

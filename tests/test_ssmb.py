@@ -3,6 +3,7 @@
 import os
 import sys
 import tempfile
+import threading
 from collections import Counter
 from unittest import mock
 
@@ -28,10 +29,10 @@ from ipstat import (
     open_stream,
     parse_dotted,
     query,
-    run_parallel,
     to_u32,
 )
-from ipstat.ssmb import GROUP_TILES, RUN, TILE_SLOTS, OctetSpill, spilled
+from ipstat import ssmb
+from ipstat.ssmb import GROUP_TILES, RUN, TILE_SLOTS, OctetSpill, spilled, sweep_ranges
 
 BLOCK_BYTES = 134_217_728
 
@@ -342,17 +343,17 @@ class TestSpill:
         source = ArraySource(values)
         monkeypatch.setattr(ipstat.model, "BATCH_RECORDS", 97)
         interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)  # interleave the workers' reads of the shared spill
+        sys.setswitchinterval(1e-6)  # interleave the sweep threads with the pass that scatters the spill
         try:
             with spilled(source) as spill:
-                plan = PartitionPlan.by_first_octets(spill.octets, 3)
-                entries, results = run_parallel(spill, plan, 10)
+                counter = SsmbCounter(workers=3)
+                entries = counter.top_k(spill, 10)
+                assert counter.stats()["spill_bytes"] == spill.spill_bytes
         finally:
             sys.setswitchinterval(interval)
         assert as_pairs(entries) == oracle_top_k(values, 10)
-        assert sum(r.stats["records_ingested"] for r in results) == values.size
+        assert counter.stats()["records_ingested"] == values.size
         assert source.replays == 1
-        assert len({r.stats["spill_bytes"] for r in results}) == 1
 
     def test_malformed_later_chunk_closes_spill(self, tmp_path, monkeypatch):
         data = tmp_path / "bad.txt"
@@ -378,3 +379,118 @@ class TestSpill:
         assert len(appended) > 1  # earlier chunks were spilled before the bad one
         assert [(where, handle.closed) for where, handle in opened] == [(str(spill_dir), True)]
         assert os.listdir(spill_dir) == []
+
+
+class TestOneBlockSweep:
+    """``SsmbCounter(workers=W)``: passes in order over one block, W threads sweeping its slot ranges."""
+
+    def test_ranges_are_tile_aligned_and_cover_the_block(self):
+        for workers in (1, 2, 3, 4, 7, 256):
+            ranges = sweep_ranges(workers)
+            assert len(ranges) == workers
+            assert ranges[0][0] == 0 and ranges[-1][1] == 2**24
+            assert all(hi == lo for (_, hi), (lo, _) in zip(ranges, ranges[1:]))
+            assert all(lo < hi and lo % TILE_SLOTS == 0 for lo, hi in ranges)
+        # three ranges are uneven
+        assert len({hi - lo for lo, hi in sweep_ranges(3)}) == 2
+
+    def test_workers_clamp_to_256_ranges(self):
+        # the clamp is read off the ranges; no query runs, so no thread starts
+        assert sweep_ranges(257) == sweep_ranges(10_000) == sweep_ranges(256)
+        assert SsmbCounter(workers=10_000).stats()["workers"] == 256
+        for bad in (0, -1):
+            with pytest.raises(InvalidPlan, match="at least 1"):
+                SsmbCounter(workers=bad)
+
+    @pytest.mark.parametrize("workers", [2, 3, 4])
+    def test_failed_pass_drops_the_block_and_joins_the_threads(self, monkeypatch, workers):
+        counter = SsmbCounter(workers=workers)
+        threads = threading.active_count()
+        monkeypatch.setattr(ipstat.model, "BATCH_RECORDS", 2)
+        with mock.patch.object(ipstat.model, "_MAX_COUNT", np.uint64(3)):
+            with pytest.raises(CountOverflow):
+                # octet 0 passes and fills the block's last range; octet 1's scatter overflows
+                counter.top_k(ArraySource(addresses_of("0.255.255.255", *["1.0.0.1"] * 4)), 1)
+        assert counter._block is None and threading.active_count() == threads
+        # a sweep thread that raises drops the block too
+        offer_block = ssmb.offer_block
+
+        def failing_offer_block(heap, block, octet, base=0):
+            if base:
+                raise MemoryError("sweep")
+            return offer_block(heap, block, octet, base)
+
+        monkeypatch.setattr(ssmb, "offer_block", failing_offer_block)
+        with pytest.raises(MemoryError, match="sweep"):
+            counter.top_k(ArraySource(addresses_of("0.255.255.255", "1.0.0.1")), 1)
+        assert counter._block is None and threading.active_count() == threads
+        monkeypatch.setattr(ssmb, "offer_block", offer_block)
+        values = addresses_of("0.255.255.255", "1.0.0.1", "1.0.0.2", "1.0.0.2", "1.255.255.255", "5.0.0.1")
+        seen = []
+        entries = counter.top_k(ArraySource(values), 4, pass_hook=lambda octet, stats: seen.append(stats))
+        assert as_pairs(entries) == oracle_top_k(values, 4)
+        assert [(s["octet"], s["pass_records"]) for s in seen] == [(0, 1), (1, 4), (5, 1)]
+        assert all(s["slot_sum"] == s["pass_records"] for s in seen)
+        assert not counter._block.any() and threading.active_count() == threads
+
+
+def edge_slots(workers: int) -> list[int]:
+    """Slot 0, each sweep range's first slot and the slot before it, and the block's last slot."""
+    return sorted({0, 2**24 - 1} | {slot for lo, _ in sweep_ranges(workers)[1:] for slot in (lo - 1, lo)})
+
+
+@st.composite
+def sweep_cases(draw):
+    """(workers, batch size, addresses) with low-24 slots on the block's and the ranges' edges."""
+    workers = draw(st.sampled_from([1, 2, 3, 4]))
+    slot = st.one_of(st.sampled_from(edge_slots(workers)), st.integers(0, 2**24 - 1), st.integers(0, TILE_SLOTS - 1))
+    records = draw(st.lists(st.tuples(st.sampled_from([0, 9, 255]), slot), max_size=150))
+    values = np.array([(a << 24) | low for a, low in records], dtype=np.uint32)
+    return workers, draw(st.integers(1, 40)), values
+
+
+@property_settings(60)
+@given(case=sweep_cases(), k=st.integers(1, 40))
+@example(case=(3, 5, np.empty(0, dtype=np.uint32)), k=3)
+# one live tile, hit in three passes
+@example(case=(2, 3, addresses_of(*["9.0.0.1"] * 3, "9.0.1.255", "0.0.0.0", "255.0.1.0")), k=4)
+# slot 0, each range edge and the slot before it, and the last slot, for three uneven ranges
+@example(case=(3, 4, np.array([(9 << 24) | s for s in edge_slots(3) * 2], dtype=np.uint32)), k=10)
+def test_one_block_sweep_matches_serial_and_oracle(shared_counter, case, k):
+    workers, batch_records, values = case
+    source = ArraySource(values)
+    passes = []
+    counter = SsmbCounter(workers=workers)
+    with mock.patch.object(ipstat.model, "BATCH_RECORDS", batch_records):
+        serial = shared_counter.top_k(source, k)
+        entries = counter.top_k(source, k, pass_hook=lambda octet, stats: passes.append(stats))
+    assert entries == serial
+    assert as_pairs(entries) == oracle_top_k(values, k)
+    stats = counter.stats()
+    octets = sorted({int(v) >> 24 for v in values})
+    assert [s["octet"] for s in passes] == octets
+    assert all(s["slot_sum"] == s["pass_records"] for s in passes)
+    assert stats["tracked_bytes"] == 134_217_728 and stats["workers"] == workers
+    assert stats["passes"] == stats["q"] == len(octets)
+    assert stats["records_ingested"] == values.size
+    # one spill, counted once: the serial counter's
+    assert stats["spill_bytes"] == shared_counter.stats()["spill_bytes"]
+    batches = [values[i : i + batch_records].tolist() for i in range(0, values.size, batch_records)]
+    assert stats["spill_bytes"] == RUN.itemsize * sum(len(set(b)) for b in batches)
+    assert source.replays == 2
+    if passes:
+        assert not counter._block.any()
+
+
+@pytest.mark.parametrize("workers", [2, 3, 4])
+def test_every_tile_live_in_every_range(workers):
+    rng = np.random.default_rng(409)
+    tiles = 2**24 // TILE_SLOTS
+    values = (200 << 24) | (np.arange(tiles) * TILE_SLOTS + rng.integers(0, TILE_SLOTS, tiles))
+    values = rng.permutation(np.repeat(values, rng.integers(1, 4, tiles))).astype(np.uint32)
+    counter = SsmbCounter(workers=workers)
+    seen = []
+    entries = counter.top_k(ArraySource(values), 50, pass_hook=lambda o, stats: seen.append(stats))
+    assert [(s["slot_sum"], s["pass_records"]) for s in seen] == [(values.size, values.size)]
+    assert not counter._block.any()
+    assert as_pairs(entries) == oracle_top_k(values, 50)
