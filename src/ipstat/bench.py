@@ -84,7 +84,7 @@ def query(source, method: str, k: int, workers: int = 1) -> tuple[list[HeapEntry
         if method != "tlmb":
             raise InvalidPlan(f"method {method!r} has no partition scheme; run it with workers=1")
         # the plan has no owners yet: the query cuts them from the first batch it reads
-        entries, results = run_parallel(source, PartitionPlan.for_source(source, method, workers), k)
+        entries, results = run_parallel(source, PartitionPlan(method="tlmb", workers=workers), k)
         stats = {"workers": len(results)}
         for result in results:
             for key, value in result.stats.items():

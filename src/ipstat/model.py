@@ -14,10 +14,12 @@ Two record file formats are supported:
   count, then that many 4-byte little-endian address words.
 
 Text is read in 8 MiB chunks, one batch each, and every chunk is decoded
-in line-aligned slices of about 512 KiB. A vectorized kernel classifies
+in line-aligned slices of about 128 KiB. A vectorized kernel classifies
 every byte of a slice (the CR of each CRLF dropped) and only accepts or
 declines it: it accepts plain ``a.b.c.d`` lines with parts up to 255,
-computing each part from shifted views of the slice. Any slice it
+computing each part from shifted views of the slice. It writes every
+slice-sized intermediate into one scratch arena that the stream keeps
+until it ends, fails or is closed. Any slice it
 declines goes to the per-line parser, which alone decides every rejection
 and lenient skip. So an odd line costs per-line parsing of its own slice
 only, and a record is accepted or rejected by its own bytes. Decoders
@@ -27,6 +29,7 @@ return their skip counts with their values.
 from __future__ import annotations
 
 import mmap
+from contextlib import closing
 from typing import BinaryIO, Iterator, NamedTuple
 
 import numpy as np
@@ -39,12 +42,14 @@ BINARY_MAGIC = b"IPR1"
 # batch, how much of it is decoded at a time, and how many records a
 # binary/array batch carries.
 TEXT_CHUNK_BYTES = 8 << 20
-# A slice's temporaries stay cache-sized, and a slice that needs the
-# per-line parser costs only its own bytes. Decode speed is flat from 32 KiB
-# to 1 MiB; the size was set by the peak RSS of an ssmb query (the heap left
-# resident after decode plus the 128 MiB block): 256 KiB, 1 MiB and 2 MiB
-# slices each left 3-5 MiB more resident on a 1M-line file.
-TEXT_SLICE_BYTES = 512 << 10
+# A slice that needs the per-line parser costs only its own bytes. A
+# stream's scratch arena takes about 6 bytes per slice byte and stays
+# resident while the stream is read. In fresh processes on a 1M-line file
+# (2 CPUs), hash's peak RSS read 66.1, 66.6, 67.6 and 69.7 MiB with 32, 128,
+# 256 and 512 KiB slices; ssmb's read 159.4 MiB at every size, as the arena
+# is gone before its 128 MiB block is touched. Decoding a 5M-line file took
+# 0.52 s with 32 KiB slices and 0.40-0.45 s with 128 KiB.
+TEXT_SLICE_BYTES = 128 << 10
 BATCH_RECORDS = 1 << 20
 
 _MAX_COUNT = np.uint64(np.iinfo(np.uint64).max)
@@ -208,7 +213,10 @@ def write_binary(path, addresses: np.ndarray) -> None:
 
 
 def _text_batches(handle: BinaryIO, lenient: bool) -> Iterator[tuple[np.ndarray, int]]:
-    with handle:
+    # A slice runs on to the end of its last line, so the scratch has room
+    # for lines up to 1 KiB past TEXT_SLICE_BYTES; it is released when the
+    # stream ends, fails or is closed early.
+    with handle, closing(_Scratch(TEXT_SLICE_BYTES + 1024)) as scratch:
         # Chunks are read into one anonymous mapping, not into fresh bytes
         # objects: freeing an 8 MiB malloc block raises glibc's dynamic mmap
         # and trim thresholds, and the heap that decode leaves behind then
@@ -233,7 +241,7 @@ def _text_batches(handle: BinaryIO, lenient: bool) -> Iterator[tuple[np.ndarray,
             if cut < 0:
                 held = stop
                 continue
-            arr, lines, skipped = _parse_text_chunk(buf, cut + 1, line_base, lenient)
+            arr, lines, skipped = _parse_text_chunk(buf, cut + 1, line_base, lenient, scratch)
             line_base += lines
             held = stop - cut - 1
             buf.move(0, cut + 1, held)
@@ -241,67 +249,134 @@ def _text_batches(handle: BinaryIO, lenient: bool) -> Iterator[tuple[np.ndarray,
         if held:
             # final record without a trailing newline
             buf[held : held + 1] = b"\n"
-            arr, _, skipped = _parse_text_chunk(buf, held + 1, line_base, lenient)
+            arr, _, skipped = _parse_text_chunk(buf, held + 1, line_base, lenient, scratch)
             yield arr, skipped
 
 
-def _parse_text_chunk(chunk: mmap.mmap, stop: int, line_base: int, lenient: bool):
+def _parse_text_chunk(chunk: mmap.mmap, stop: int, line_base: int, lenient: bool, scratch: _Scratch):
     """Parse chunk[:stop], which ends in LF; returns (uint32 array, line count, skipped).
 
     A slice ends at the first LF that makes it TEXT_SLICE_BYTES long or
     longer, and is decoded on its own, by the kernel or else line by line.
-    The result depends only on the bytes, ``line_base`` and ``lenient``.
+    The kernel works in ``scratch``, which the stream keeps for all its
+    slices. The result depends only on the bytes, ``line_base`` and
+    ``lenient``.
     """
     view = memoryview(chunk)
-    parts = []
-    lines = skipped = 0
+    cuts = []
     start = 0
     while start < stop:
         end = chunk.find(b"\n", min(start + TEXT_SLICE_BYTES, stop) - 1, stop) + 1
+        scratch.fit(end - start)
         raw = np.frombuffer(view[start:end], dtype=np.uint8)
-        count = np.count_nonzero(raw == _LF)
+        cuts.append((start, end, np.count_nonzero(np.equal(raw, _LF, out=scratch.mask[: raw.size]))))
+        start = end
+    # A record takes a line, so the records fill one array in place. Its own
+    # mapping goes with its last view: a freed heap batch would raise glibc's
+    # trim threshold, and heap left resident stays under ssmb's block.
+    out = np.frombuffer(mmap.mmap(-1, 4 * sum(count for _, _, count in cuts)), dtype=np.uint32)
+    records = lines = skipped = 0
+    for start, end, count in cuts:
+        raw = np.frombuffer(view[start:end], dtype=np.uint8)
         if chunk.find(b"\r", start, end) >= 0:
             raw = np.delete(raw, np.flatnonzero((raw[:-1] == _CR) & (raw[1:] == _LF)))
-        arr = _parse_pure_block(raw, count)
-        if arr is None:
+        if _parse_pure_block(raw, count, scratch, out[records : records + count]):
+            records += count
+        else:
             arr, dropped = _parse_lines(view[start:end], line_base + lines, lenient)
+            out[records : records + arr.size] = arr
+            records += arr.size
             skipped += dropped
-        parts.append(arr)
         lines += count
-        start = end
-    return np.concatenate(parts), lines, skipped
+    return out[:records], lines, skipped
 
 
-def _parse_pure_block(raw: np.ndarray, lines: int):
+class _Scratch:
+    """The kernel's slice-sized arrays, carved from one anonymous mapping.
+
+    A text stream keeps one for all its slices, so that no slice allocates
+    temporaries that go back to the kernel and fault in again on the next.
+    ``digit`` and ``dig`` lead with three bytes that are never written: they
+    read as non-digits of value 0, like the LFs before a slice.
+    """
+
+    def __init__(self, capacity: int):
+        self._carve(capacity)
+
+    def _carve(self, capacity: int) -> None:
+        step = (capacity + 10) & ~7  # a slice and its 3 leading bytes; each array starts 8-aligned
+        self._map = mmap.mmap(-1, 6 * step)
+        self.digit = np.frombuffer(self._map, np.uint8, capacity + 3, 0)
+        self.dig = np.frombuffer(self._map, np.bool_, capacity + 3, step)
+        self.mask = np.frombuffer(self._map, np.bool_, capacity, 2 * step)
+        self.value = np.frombuffer(self._map, np.uint16, capacity, 3 * step)
+        # a slice that passes the adjacency check has a separator at most every other byte
+        self.part = np.frombuffer(self._map, np.uint16, capacity // 2 + 1, 5 * step)
+        self.capacity = capacity
+
+    def fit(self, size: int) -> None:
+        """Make room for a slice of ``size`` bytes; only a line longer than a slice grows it."""
+        if size > self.capacity:
+            self.close()
+            self._carve(max(size, 2 * self.capacity))
+
+    def close(self) -> None:
+        # the views export the mapping's buffer, so they go first
+        self.digit = self.dig = self.mask = self.value = self.part = None
+        try:
+            self._map.close()
+        except BufferError:
+            # a kernel frame on an escaping exception (say MemoryError) still
+            # holds a view; the mapping goes with that traceback
+            pass
+
+
+def _parse_pure_block(raw: np.ndarray, lines: int, scratch: _Scratch, out: np.ndarray) -> bool:
     """Vectorized decode of any slice of whole lines; ``lines`` is its LF count.
 
     Classifies each byte as a digit or a separator, finds the separators
     once, then computes the value of the part ending at each one from
-    shifted views of the slice. Returns None unless every line is four
-    dot-separated parts of one to three digits, each at most 255; the caller
-    then parses the slice line by line, which decides what is malformed.
+    shifted views of the slice's digits. Every slice-sized intermediate is
+    written into ``scratch``, and the lines' addresses into ``out``. Returns
+    False, leaving ``out`` undefined, unless every line is four dot-separated
+    parts of one to three digits, each at most 255; the caller then parses
+    the slice line by line, which decides what is malformed.
     """
-    # three leading LFs let every shifted view start before the first byte
-    pad = np.empty(raw.size + 3, dtype=np.uint8)
-    pad[:3] = _LF
-    pad[3:] = raw
-    dig = pad - np.uint8(_DIGIT0) <= 9
-    sep = ~dig
-    at = np.flatnonzero(sep[3:])
+    size = raw.size
+    # padded coordinates: raw[i] is at i + 3, after the three untouched leading bytes
+    digit, dig, mask = scratch.digit[: size + 3], scratch.dig[: size + 3], scratch.mask[:size]
+    np.subtract(raw, np.uint8(_DIGIT0), out=digit[3:])
+    np.less_equal(digit[3:], 9, out=dig[3:])
+    at = np.flatnonzero(np.logical_not(dig[3:], out=mask))
     # four separators a line, every fourth the LF and the other three dots
-    if at.size != 4 * lines or (raw[at[3::4]] != _LF).any() or np.count_nonzero(raw == _DOT) != 3 * lines:
-        return None
+    dots = np.count_nonzero(np.equal(raw, _DOT, out=mask))
+    if at.size != 4 * lines or (raw[at[3::4]] != _LF).any() or dots != 3 * lines:
+        return False
     # one to three digits a part: no separator right after another, no four digits in a row
-    if (sep[3:] & sep[2:-1]).any() or (dig[3:] & dig[2:-1] & dig[1:-2] & dig[:-3]).any():
-        return None
-    digit = ((pad - np.uint8(_DIGIT0)) * dig).astype(np.uint16)
-    # a part ending before pad[i] is digit[i-1] + 10 digit[i-2] + 100 digit[i-3],
-    # the last term only when pad[i-2] is a digit too
-    values = (digit[2:-1] + 10 * digit[1:-2] + 100 * digit[:-3] * dig[1:-2])[at]
-    if values.max() > 255:
-        return None
+    if not np.logical_or(dig[3:], dig[2:-1], out=mask).all():
+        return False
+    np.logical_and(dig[3:], dig[2:-1], out=mask)
+    np.logical_and(mask, dig[1:-2], out=mask)
+    if np.logical_and(mask, dig[:-3], out=mask).any():
+        return False
+    np.multiply(digit[3:], dig[3:], out=digit[3:])
+    # a part ending before raw[i] is digit[i+2] + 10 digit[i+1] + 100 digit[i],
+    # the last term only when padded byte i+1 is a digit too
+    value = scratch.value[:size]
+    np.multiply(digit[:-3], dig[1:-2], out=value)
+    value *= 10
+    value += digit[1:-2]
+    value *= 10
+    value += digit[2:-1]
+    # every index is in range; "clip" writes straight into out, "raise" would buffer it
+    part = np.take(value, at, out=scratch.part[: at.size], mode="clip")
+    if part.max() > 255:
+        return False
     # each line's four octets, read as one big-endian word
-    return values.astype(np.uint8).view(">u4").astype(np.uint32)
+    octets = mask.view(np.uint8)[: at.size]
+    np.copyto(octets, part, casting="unsafe")
+    np.copyto(out, octets.view(">u4"))
+    return True
 
 
 def _parse_lines(block: memoryview, line_base: int, lenient: bool) -> tuple[np.ndarray, int]:
@@ -325,19 +400,17 @@ def _parse_lines(block: memoryview, line_base: int, lenient: bool) -> tuple[np.n
 class FileSource:
     """Replayable record source backed by a file path.
 
-    ``open()`` starts a fresh pass and bumps ``replays``; every query
-    method, ssmb included, opens its source once. Each pass decodes as
-    ``open_stream`` does; the per-line parser decides every rejection.
+    ``open()`` starts a fresh pass; every query method, ssmb included,
+    opens its source once. Each pass decodes as ``open_stream`` does; the
+    per-line parser decides every rejection.
     """
 
     def __init__(self, path, fmt: str = "auto", lenient: bool = False):
         self.path = path
         self.fmt = fmt
         self.lenient = lenient
-        self.replays = 0
 
     def open(self) -> RecordStream:
-        self.replays += 1
         return open_stream(self.path, self.fmt, self.lenient)
 
 
@@ -346,10 +419,8 @@ class ArraySource:
 
     def __init__(self, addresses: np.ndarray):
         self._values = np.ascontiguousarray(addresses, dtype=np.uint32)
-        self.replays = 0
 
     def open(self) -> RecordStream:
-        self.replays += 1
         values, step = self._values, BATCH_RECORDS
         return RecordStream((values[i : i + step], 0) for i in range(0, values.size, step))
 

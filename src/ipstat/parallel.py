@@ -106,17 +106,6 @@ class PartitionPlan:
         """ssmb plan: deal the given first octets round-robin to workers."""
         return cls(method="ssmb", workers=workers, octets=tuple(first_octets(octets)))
 
-    @classmethod
-    def for_source(cls, source, method: str, workers: int) -> "PartitionPlan":
-        """Build the plan for a method and worker count.
-
-        Only tlmb queries are partitioned. Their plan has no owners yet: the
-        query cuts them from the first batch it reads.
-        """
-        if method == "tlmb":
-            return cls(method="tlmb", workers=workers)
-        raise InvalidPlan(f"method {method!r} has no partition plan")
-
     def bounds(self, values: np.ndarray) -> list[int]:
         """Cut ascending uint32 ``values`` by tlmb owner: worker w owns values[b[w]:b[w + 1]]."""
         if self.method != "tlmb" or not self.octets:

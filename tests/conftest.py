@@ -68,6 +68,18 @@ class SingleUseSource:
         return stream
 
 
+class CountingSource:
+    """Wraps a record source and counts the passes opened over it."""
+
+    def __init__(self, source):
+        self._source = source
+        self.opens = 0
+
+    def open(self):
+        self.opens += 1
+        return self._source.open()
+
+
 def property_settings(max_examples: int) -> settings:
     """Hypothesis settings that replay the same bounded example set every run."""
     return settings(max_examples=max_examples, derandomize=True, database=None, deadline=None)

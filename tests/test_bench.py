@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import as_pairs, oracle_top_k, read_all
+from conftest import CountingSource, as_pairs, oracle_top_k, read_all
 from ipstat import (
     CountOverflow,
     DatasetSpec,
@@ -65,10 +65,10 @@ class TestRunMethod:
     @pytest.mark.parametrize("workers", [0, -1])
     @pytest.mark.parametrize("method", ["tlmb", "ssmb", "hash", "ipmap"])
     def test_worker_count_below_one_is_rejected_before_opening(self, dataset, method, workers):
-        source = FileSource(dataset[0])
+        source = CountingSource(FileSource(dataset[0]))
         with pytest.raises(InvalidPlan, match="worker count must be at least 1"):
             query(source, method, 10, workers)
-        assert source.replays == 0
+        assert source.opens == 0
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_failed_text_query_closes_its_file(self, tmp_path, monkeypatch, workers):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from conftest import SingleUseSource, property_settings, random_addresses, read_all
+from conftest import CountingSource, SingleUseSource, property_settings, random_addresses, read_all
 from ipstat import model
 from ipstat import (
     ArraySource,
@@ -169,7 +169,7 @@ def decode_outcome(decode):
     try:
         return "ok", decode()
     except MalformedAddress as exc:
-        return type(exc), exc.line_number
+        return type(exc), exc.line_number, str(exc)
 
 
 def _with_cr(line: str, cr: str, at: int) -> str:
@@ -268,6 +268,123 @@ class TestDecoderDifferential:
             assert caught.value.line_number == 1
 
 
+@pytest.fixture
+def arenas(monkeypatch):
+    """Every kernel scratch arena the streams of one test create, in order."""
+    made = []
+
+    class RecordedScratch(model._Scratch):
+        def __init__(self, capacity):
+            super().__init__(capacity)
+            made.append(self)
+
+    monkeypatch.setattr(model, "_Scratch", RecordedScratch)
+    return made
+
+
+class TestKernelArena:
+    """One scratch arena per text stream, reused by every slice.
+
+    Slices and chunks shrink to a few bytes, so one arena serves pure,
+    declined and CRLF slices in turn, and lines outgrow it.
+    """
+
+    @property_settings(300)
+    @given(
+        st.lists(RECORD_BYTES, min_size=1, max_size=4),
+        st.sampled_from([1, 16, 40, 64]),
+        st.sampled_from([1, 8, 32, 4096]),
+        st.booleans(),
+    )
+    # a declined slice, then pure ones: nothing leaks through the pad or the masks
+    @example([b"bad\n" + _PURE, _PURE], 8, 32, False)
+    @example([b"1.2.3.4 tail\n1.2.3.400\n" + _PURE], 8, 32, True)
+    # CRLF slices beside LF ones
+    @example([b"1.2.3.4\r\n5.6.7.8\r\n" + _PURE, b"9.9.9.9\r\n"], 9, 32, False)
+    # a line longer than the arena, after and before pure slices
+    @example([_PURE, b"1.2.3.4 " + b"x" * 200 + b"\n" + _PURE], 16, 32, False)
+    def test_arena_kernel_matches_per_line_parser(self, chunks, slice_bytes, capacity, lenient):
+        scratch = model._Scratch(capacity)
+        line_base = 0
+        with mock.patch.object(model, "TEXT_SLICE_BYTES", slice_bytes):
+            for data in chunks:
+                data = data if data.endswith(b"\n") else data + b"\n"
+                lines = data.count(b"\n")
+
+                def kernel():
+                    chunk = bytearray(data)
+                    values, seen, skipped = model._parse_text_chunk(chunk, len(data), line_base, lenient, scratch)
+                    return values.tolist(), seen, skipped
+
+                def per_line():
+                    values, skipped = model._parse_lines(memoryview(data), line_base, lenient)
+                    return values.tolist(), lines, skipped
+
+                got = decode_outcome(kernel)
+                assert got == decode_outcome(per_line)
+                if got[0] != "ok":
+                    break
+                line_base += lines
+        scratch.close()
+        assert scratch._map.closed
+
+    def test_line_longer_than_the_arena_grows_it_mid_stream(self, tmp_path, arenas):
+        data = _PURE * 4 + b"1.2.3.4 " + b"x" * 3000 + b"\n" + _PURE * 4
+        path = tmp_path / "long.txt"
+        path.write_bytes(data)
+        with mock.patch.object(model, "TEXT_CHUNK_BYTES", 64), mock.patch.object(model, "TEXT_SLICE_BYTES", 16):
+            stream = open_stream(path)
+            batches = [batch.tolist() for batch in stream.batches()]
+        (arena,) = arenas
+        assert [value for batch in batches for value in batch] == per_line_reference(data, False)[0]
+        assert arena.capacity > 3000 and arena._map.closed
+
+    def test_streams_read_alternately_keep_their_own_arenas(self, tmp_path, arenas):
+        paths = []
+        for name, lines in (("a", _PURE * 8 + b"bad\n" + _PURE), ("b", b"9.8.7.6\r\n" * 9 + b"1.2.3.4 tail\n")):
+            paths.append(tmp_path / f"{name}.txt")
+            paths[-1].write_bytes(lines)
+        with mock.patch.object(model, "TEXT_CHUNK_BYTES", 32), mock.patch.object(model, "TEXT_SLICE_BYTES", 8):
+            streams = [open_stream(path, lenient=True).batches() for path in paths]
+            got = [[], []]
+            while streams[0] or streams[1]:
+                for ordinal, batches in enumerate(streams):
+                    batch = next(batches, None) if batches else None
+                    if batch is None:
+                        streams[ordinal] = None
+                    else:
+                        got[ordinal] += batch.tolist()
+        assert got == [per_line_reference(path.read_bytes(), True)[0] for path in paths]
+        assert len(arenas) == 2 and arenas[0] is not arenas[1]
+        assert all(arena._map.closed for arena in arenas)
+
+    def test_stream_closed_after_its_first_batch_releases_its_arena(self, tmp_path, arenas):
+        path = tmp_path / "r.txt"
+        path.write_bytes(_PURE * 20)
+        with mock.patch.object(model, "TEXT_CHUNK_BYTES", 32), mock.patch.object(model, "TEXT_SLICE_BYTES", 8):
+            stream = open_stream(path)
+            batches = stream.batches()
+            first = next(batches).tolist()
+            assert first == per_line_reference(_PURE * 20, False)[0][: len(first)]
+            assert not arenas[0]._map.closed
+            batches.close()
+            del batches, stream
+        assert arenas[0]._map.closed
+
+    def test_strict_error_in_a_later_chunk_releases_the_arena(self, tmp_path, arenas):
+        data = _PURE * 10 + b"1.2.3.4\r\n1.2.3.256\n" + _PURE
+        path = tmp_path / "bad.txt"
+        path.write_bytes(data)
+        with mock.patch.object(model, "TEXT_CHUNK_BYTES", 40), mock.patch.object(model, "TEXT_SLICE_BYTES", 16):
+            stream = open_stream(path)
+            with pytest.raises(OctetOutOfRange) as caught:
+                read_all(stream)
+        assert stream.records_read > 0
+        assert (caught.value.line_number, str(caught.value)) == (22, "line 22: part '256' exceeds 255 in '1.2.3.256'")
+        assert decode_outcome(lambda: per_line_reference(data, False))[1:] == (22, str(caught.value))
+        assert len(arenas) == 1 and arenas[0]._map.closed
+
+
 class TestBinaryFormat:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(104)
@@ -321,18 +438,18 @@ class TestSources:
     def test_file_source_replays(self, tmp_path):
         path = tmp_path / "r.txt"
         path.write_text("1.1.1.1\n2.2.2.2\n")
-        source = FileSource(path)
+        source = CountingSource(FileSource(path))
         first = read_all(source.open())
         second = read_all(source.open())
         assert np.array_equal(first, second)
-        assert source.replays == 2
+        assert source.opens == 2
 
     def test_array_source_replays(self):
         values = np.array([1, 2, 3], dtype=np.uint32)
-        source = ArraySource(values)
+        source = CountingSource(ArraySource(values))
         assert np.array_equal(read_all(source.open()), values)
         assert np.array_equal(read_all(source.open()), values)
-        assert source.replays == 2
+        assert source.opens == 2
 
     def test_single_use_source(self, tmp_path):
         path = tmp_path / "s.txt"

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import as_pairs, oracle_top_k, property_settings, random_addresses
+from conftest import CountingSource, as_pairs, oracle_top_k, property_settings, random_addresses
 from ipstat import (
     ArraySource,
     CountOverflow,
@@ -73,18 +73,18 @@ class TestPlans:
         with pytest.raises(InvalidPlan):
             PartitionPlan(method="hash", workers=1)
 
-    def test_for_source_tlmb_requires_power_of_two(self):
-        source = ArraySource(np.array([1], dtype=np.uint32))
+    def test_tlmb_plan_requires_power_of_two(self):
         with pytest.raises(InvalidPlan):
-            PartitionPlan.for_source(source, "tlmb", 3)
+            PartitionPlan("tlmb", 3)
         # the owners are left for the query to cut from its first batch
-        plan = PartitionPlan.for_source(source, "tlmb", 8)
+        plan = PartitionPlan("tlmb", 8)
         assert plan.workers == 8 and plan.octets == ()
 
     def test_ssmb_plans_do_not_run_partitioned(self):
         source = ArraySource(np.array([1 << 24], dtype=np.uint32))
-        with pytest.raises(InvalidPlan, match="no partition plan"):
-            PartitionPlan.for_source(source, "ssmb", 2)
+        for method in ("hash", "ipmap"):
+            with pytest.raises(InvalidPlan, match="no partition scheme"):
+                query(source, method, 1, 2)
         with pytest.raises(InvalidPlan, match="only tlmb plans"):
             run_parallel(source, PartitionPlan.by_first_octets([1], 1), 1)
 
@@ -216,7 +216,7 @@ def first_batch_cases(draw):
 @given(first_batch_cases(), st.sampled_from([2, 4, 8]), st.integers(1, 8))
 def test_first_batch_plan_matches_serial_and_oracle(case, workers, k):
     batch_records, values = case
-    source = ArraySource(values)
+    source = CountingSource(ArraySource(values))
     runs, plans = [], []
     by_value_share = PartitionPlan.by_value_share
 
@@ -241,7 +241,7 @@ def test_first_batch_plan_matches_serial_and_oracle(case, workers, k):
     for key in ("records_ingested", "allocated_second_blocks", "first_layer_bytes", "tracked_bytes"):
         assert stats[key] == serial_stats[key], key
     assert stats["first_layer_bytes"] == 134_217_728
-    assert stats["workers"] == workers and source.replays == 2
+    assert stats["workers"] == workers and source.opens == 2
     (results,) = runs
     # the owners are cut from the first batch's distinct values
     ((first_values, plan),) = plans

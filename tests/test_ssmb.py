@@ -13,7 +13,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import ipstat.model
-from conftest import SingleUseSource, as_pairs, oracle_top_k, property_settings, random_addresses
+from conftest import CountingSource, SingleUseSource, as_pairs, oracle_top_k, property_settings, random_addresses
 from ipstat import (
     ArraySource,
     CountOverflow,
@@ -89,22 +89,22 @@ class TestTopK:
     def test_source_read_once(self):
         rng = np.random.default_rng(402)
         values = random_addresses(rng, 2000, first_octet_cap=5)
-        source = ArraySource(values)
+        source = CountingSource(ArraySource(values))
         counter = SsmbCounter()
         counter.top_k(source, 3)
         q = counter.stats()["q"]
         assert q == np.unique(values >> np.uint32(24)).size
-        assert source.replays == 1
+        assert source.opens == 1
 
     def test_explicit_octets_read_source_once(self):
         rng = np.random.default_rng(403)
         values = random_addresses(rng, 2000, first_octet_cap=3)
-        source = ArraySource(values)
+        source = CountingSource(ArraySource(values))
         octets = discover_subsets(source)
-        source.replays = 0
+        source.opens = 0
         counter = SsmbCounter()
         entries = counter.top_k(source, 5, octets=octets)
-        assert source.replays == 1
+        assert source.opens == 1
         assert as_pairs(entries) == oracle_top_k(values, 5)
 
     def test_subset_restriction_counts_only_matching(self):
@@ -225,7 +225,7 @@ def shared_counter():
 )
 def test_spill_backed_top_k_matches_oracle(shared_counter, records, batch_records, octets, k, prebuilt):
     values = np.array(records, dtype=np.uint32)
-    source = ArraySource(values)
+    source = CountingSource(ArraySource(values))
     planned = set(records if octets is None else (v for v in records if v >> 24 in octets))
     planned_records = [v for v in records if v in planned]
     passes = {}
@@ -249,7 +249,7 @@ def test_spill_backed_top_k_matches_oracle(shared_counter, records, batch_record
     batches = [records[i : i + batch_records] for i in range(0, len(records), batch_records)]
     assert stats["spill_bytes"] == RUN.itemsize * sum(len(set(b)) for b in batches)
     assert stats["tracked_bytes"] == BLOCK_BYTES
-    assert source.replays == 1
+    assert source.opens == 1
 
 
 # low-24 slots around tile and group edges, and anywhere
@@ -340,7 +340,7 @@ class TestSpill:
     def test_workers_share_one_spill(self, monkeypatch):
         rng = np.random.default_rng(407)
         values = random_addresses(rng, 4000, first_octet_cap=6)
-        source = ArraySource(values)
+        source = CountingSource(ArraySource(values))
         monkeypatch.setattr(ipstat.model, "BATCH_RECORDS", 97)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # interleave the sweep threads with the pass that scatters the spill
@@ -353,7 +353,7 @@ class TestSpill:
             sys.setswitchinterval(interval)
         assert as_pairs(entries) == oracle_top_k(values, 10)
         assert counter.stats()["records_ingested"] == values.size
-        assert source.replays == 1
+        assert source.opens == 1
 
     def test_malformed_later_chunk_closes_spill(self, tmp_path, monkeypatch):
         data = tmp_path / "bad.txt"
@@ -458,7 +458,7 @@ def sweep_cases(draw):
 @example(case=(3, 4, np.array([(9 << 24) | s for s in edge_slots(3) * 2], dtype=np.uint32)), k=10)
 def test_one_block_sweep_matches_serial_and_oracle(shared_counter, case, k):
     workers, batch_records, values = case
-    source = ArraySource(values)
+    source = CountingSource(ArraySource(values))
     passes = []
     counter = SsmbCounter(workers=workers)
     with mock.patch.object(ipstat.model, "BATCH_RECORDS", batch_records):
@@ -477,7 +477,7 @@ def test_one_block_sweep_matches_serial_and_oracle(shared_counter, case, k):
     assert stats["spill_bytes"] == shared_counter.stats()["spill_bytes"]
     batches = [values[i : i + batch_records].tolist() for i in range(0, values.size, batch_records)]
     assert stats["spill_bytes"] == RUN.itemsize * sum(len(set(b)) for b in batches)
-    assert source.replays == 2
+    assert source.opens == 2
     if passes:
         assert not counter._block.any()
 
