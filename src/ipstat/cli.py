@@ -91,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
     topk.add_argument("--method", choices=METHODS, required=True)
     topk.add_argument("--k", type=_positive_int, required=True)
     topk.add_argument("--input", required=True, help="record file (text or binary)")
-    topk.add_argument("--workers", type=_positive_int, default=1, help="in-process parallel workers")
+    topk.add_argument("--workers", type=_positive_int, default=1, help="in-process threads (tlmb takes 1-256)")
     topk.add_argument("--format", choices=("auto", "text", "binary"), default="auto",
                       help="input format (default: sniff)")
     topk.set_defaults(func=_cmd_topk)

@@ -18,12 +18,13 @@ in line-aligned slices of about 128 KiB. A vectorized kernel classifies
 every byte of a slice (the CR of each CRLF dropped) and only accepts or
 declines it: it accepts plain ``a.b.c.d`` lines with parts up to 255,
 computing each part from shifted views of the slice. It writes every
-slice-sized intermediate into one scratch arena that the stream keeps
-until it ends, fails or is closed. Any slice it
-declines goes to the per-line parser, which alone decides every rejection
-and lenient skip. So an odd line costs per-line parsing of its own slice
-only, and a record is accepted or rejected by its own bytes. Decoders
-return their skip counts with their values.
+slice-sized intermediate into one fixed scratch arena that the stream
+keeps until it ends, fails or is closed. Any slice it declines, or that
+holds a line too long for the arena, goes to the per-line parser, which
+alone decides every rejection and lenient skip. So an odd line costs
+per-line parsing of its own slice only, and a record is accepted or
+rejected by its own bytes. Decoders return their skip counts with their
+values.
 """
 
 from __future__ import annotations
@@ -214,8 +215,9 @@ def write_binary(path, addresses: np.ndarray) -> None:
 
 def _text_batches(handle: BinaryIO, lenient: bool) -> Iterator[tuple[np.ndarray, int]]:
     # A slice runs on to the end of its last line, so the scratch has room
-    # for lines up to 1 KiB past TEXT_SLICE_BYTES; it is released when the
-    # stream ends, fails or is closed early.
+    # for lines up to 1 KiB past TEXT_SLICE_BYTES, and a longer slice is
+    # parsed line by line; it is released when the stream ends, fails or is
+    # closed early.
     with handle, closing(_Scratch(TEXT_SLICE_BYTES + 1024)) as scratch:
         # Chunks are read into one anonymous mapping, not into fresh bytes
         # objects: freeing an 8 MiB malloc block raises glibc's dynamic mmap
@@ -259,17 +261,17 @@ def _parse_text_chunk(chunk: mmap.mmap, stop: int, line_base: int, lenient: bool
     A slice ends at the first LF that makes it TEXT_SLICE_BYTES long or
     longer, and is decoded on its own, by the kernel or else line by line.
     The kernel works in ``scratch``, which the stream keeps for all its
-    slices. The result depends only on the bytes, ``line_base`` and
-    ``lenient``.
+    slices; a slice longer than ``scratch.capacity`` goes line by line. The
+    result depends only on the bytes, ``line_base`` and ``lenient``.
     """
     view = memoryview(chunk)
     cuts = []
     start = 0
     while start < stop:
         end = chunk.find(b"\n", min(start + TEXT_SLICE_BYTES, stop) - 1, stop) + 1
-        scratch.fit(end - start)
         raw = np.frombuffer(view[start:end], dtype=np.uint8)
-        cuts.append((start, end, np.count_nonzero(np.equal(raw, _LF, out=scratch.mask[: raw.size]))))
+        fits = raw.size <= scratch.capacity  # no name holds the mask: an error's traceback would keep it mapped
+        cuts.append((start, end, np.count_nonzero(np.equal(raw, _LF, out=scratch.mask[: raw.size] if fits else None))))
         start = end
     # A record takes a line, so the records fill one array in place. Its own
     # mapping goes with its last view: a freed heap batch would raise glibc's
@@ -278,9 +280,11 @@ def _parse_text_chunk(chunk: mmap.mmap, stop: int, line_base: int, lenient: bool
     records = lines = skipped = 0
     for start, end, count in cuts:
         raw = np.frombuffer(view[start:end], dtype=np.uint8)
-        if chunk.find(b"\r", start, end) >= 0:
+        # past the stream's arena, a slice holds a line of over 1 KiB, which the kernel declines
+        fits = raw.size <= scratch.capacity
+        if fits and chunk.find(b"\r", start, end) >= 0:
             raw = np.delete(raw, np.flatnonzero((raw[:-1] == _CR) & (raw[1:] == _LF)))
-        if _parse_pure_block(raw, count, scratch, out[records : records + count]):
+        if fits and _parse_pure_block(raw, count, scratch, out[records : records + count]):
             records += count
         else:
             arr, dropped = _parse_lines(view[start:end], line_base + lines, lenient)
@@ -294,16 +298,14 @@ def _parse_text_chunk(chunk: mmap.mmap, stop: int, line_base: int, lenient: bool
 class _Scratch:
     """The kernel's slice-sized arrays, carved from one anonymous mapping.
 
-    A text stream keeps one for all its slices, so that no slice allocates
-    temporaries that go back to the kernel and fault in again on the next.
+    A text stream keeps one, of a fixed size, for all its slices, so that no
+    slice allocates temporaries that go back to the kernel and fault in
+    again on the next.
     ``digit`` and ``dig`` lead with three bytes that are never written: they
     read as non-digits of value 0, like the LFs before a slice.
     """
 
     def __init__(self, capacity: int):
-        self._carve(capacity)
-
-    def _carve(self, capacity: int) -> None:
         step = (capacity + 10) & ~7  # a slice and its 3 leading bytes; each array starts 8-aligned
         self._map = mmap.mmap(-1, 6 * step)
         self.digit = np.frombuffer(self._map, np.uint8, capacity + 3, 0)
@@ -313,12 +315,6 @@ class _Scratch:
         # a slice that passes the adjacency check has a separator at most every other byte
         self.part = np.frombuffer(self._map, np.uint16, capacity // 2 + 1, 5 * step)
         self.capacity = capacity
-
-    def fit(self, size: int) -> None:
-        """Make room for a slice of ``size`` bytes; only a line longer than a slice grows it."""
-        if size > self.capacity:
-            self.close()
-            self._carve(max(size, 2 * self.capacity))
 
     def close(self) -> None:
         # the views export the mapping's buffer, so they go first

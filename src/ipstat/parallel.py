@@ -9,7 +9,8 @@ plan is cut from the first batch: at first-octet boundaries, so that each
 worker owns about 1/W of its distinct addresses, and the owners still
 cover every octet once, so later batches are counted exactly wherever they
 fall; the split is even when the first batch's first-octet mix is the
-stream's. ``by_prefix_bits`` keeps the even cut by leading address bits.
+stream's. Each worker owns at least one octet, so W runs from 1 to 256.
+``by_prefix_bits`` keeps the even cut by leading address bits.
 The input is read once; each batch is reduced to its ascending distinct
 addresses and their counts, and since ownership is monotone in the
 address, one cut at the owners' start addresses hands every worker its own
@@ -30,7 +31,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,24 +55,18 @@ class PartitionPlan:
 
     method: str
     workers: int
-    prefix_bits: int | None = None
     octets: tuple[int, ...] = ()
 
     def __post_init__(self):
         if self.workers < 1:
             raise InvalidPlan(f"worker count must be at least 1, got {self.workers}")
         if self.method == "tlmb":
-            if self.workers & (self.workers - 1) or self.workers > 256:
-                raise InvalidPlan(f"tlmb worker count must be a power of two up to 256, got {self.workers}")
-            r = self.prefix_bits
-            if r is not None and not (0 <= r <= 8 and self.octets == tuple(range(0, 256, 256 >> r))):
-                raise InvalidPlan(f"prefix_bits={r} plans split 256 octets evenly, got {self.octets}")
+            if self.workers > 256:
+                raise InvalidPlan(f"tlmb worker count must be at most 256, one first octet each, got {self.workers}")
             starts = list(self.octets)
             if starts and (len(starts) != self.workers or starts[0] != 0 or starts != first_octets(starts)):
                 raise InvalidPlan(f"tlmb plans need one ascending start octet per worker from 0, got {starts}")
         elif self.method == "ssmb":
-            if self.prefix_bits is not None:
-                raise InvalidPlan("ssmb plans partition by first octets, not prefix bits")
             if list(self.octets) != first_octets(self.octets):
                 raise InvalidPlan("ssmb plans need ascending distinct first octets")
         else:
@@ -83,7 +78,7 @@ class PartitionPlan:
         if not 0 <= prefix_bits <= 8:
             raise InvalidPlan(f"prefix_bits must be in [0, 8], got {prefix_bits}")
         starts = tuple(range(0, 256, 256 >> prefix_bits))
-        return cls(method="tlmb", workers=1 << prefix_bits, prefix_bits=prefix_bits, octets=starts)
+        return cls(method="tlmb", workers=1 << prefix_bits, octets=starts)
 
     @classmethod
     def by_value_share(cls, values: np.ndarray, workers: int) -> "PartitionPlan":
@@ -124,11 +119,10 @@ class PartitionPlan:
 
 @dataclass
 class WorkerResult:
-    """One worker's local outcome: its candidates and counter stats."""
+    """One worker's local outcome: its candidates and counter stats, listed in worker order."""
 
-    ordinal: int
-    candidates: list[HeapEntry] = field(default_factory=list)
-    stats: dict = field(default_factory=dict)
+    candidates: list[HeapEntry]
+    stats: dict
 
 
 def run_parallel(source, plan: PartitionPlan, k: int) -> tuple[list[HeapEntry], list[WorkerResult]]:
@@ -163,5 +157,5 @@ def _run_tlmb(source, plan: PartitionPlan, k: int) -> list[WorkerResult]:
             for future in futures:
                 future.result()
         tops = [pool.submit(counter.top_k, k) for counter in counters]
-        return [WorkerResult(w, top.result(), counter.stats()) for w, (counter, top) in enumerate(zip(counters, tops))]
+        return [WorkerResult(top.result(), counter.stats()) for counter, top in zip(counters, tops)]
 

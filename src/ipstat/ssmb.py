@@ -66,11 +66,8 @@ def first_octets(octets: Iterable[int]) -> list[int]:
 
 def discover_subsets(source) -> list[int]:
     """One pass listing the distinct first octets present, ascending."""
-    seen = np.zeros(256, dtype=bool)
-    stream = source.open()
-    for batch in stream.batches():
-        seen[batch >> np.uint32(24)] = True
-    return np.flatnonzero(seen).tolist()
+    with spilled(source) as spill:
+        return spill.octets
 
 
 class OctetSpill:
@@ -79,8 +76,8 @@ class OctetSpill:
     Batch by batch, each first octet's distinct low-24 slots and their
     counts are appended as one segment of ``RUN`` entries to an unlinked
     temporary file. ``runs(octet)`` reads that octet's segments back with
-    ``os.pread``, so threads can share one spill. ``spilled(source)`` builds
-    a spill and closes it, which releases the file.
+    ``os.pread``. ``spilled(source)`` builds a spill and closes it, which
+    releases the file.
     """
 
     def __init__(self):
@@ -119,10 +116,7 @@ class OctetSpill:
 
 @contextmanager
 def spilled(source) -> Iterator[OctetSpill]:
-    """``source`` itself if it is a spill, else a spill of one pass of it, closed on exit."""
-    if isinstance(source, OctetSpill):
-        yield source
-        return
+    """A spill of one pass of ``source``, closed on exit."""
     spill = OctetSpill()
     try:
         for batch in source.open().batches():
@@ -193,15 +187,13 @@ class SsmbCounter:
     ) -> list[HeapEntry]:
         """The k strongest (address, count) pairs, strongest first.
 
-        ``source`` is either a record source, which is read once into a
-        spill that is closed before returning, or an ``OctetSpill`` the
-        caller built and still owns. ``octets`` fixes the subset passes
-        (ascending distinct first octets); when omitted, every first octet
-        in the spill gets a pass. ``pass_hook(octet, pass_stats)`` runs on
-        the calling thread after each subset pass with that pass's record
-        count, the block's slot-value sum over every range, and the counter
-        stats — slot_sum == pass_records iff the block really started the
-        pass all-zero.
+        ``source`` is read once into a spill that is closed before
+        returning. ``octets`` fixes the subset passes (ascending distinct
+        first octets); when omitted, every first octet in the spill gets
+        a pass. ``pass_hook(octet, pass_stats)`` runs on the calling thread
+        after each subset pass with that pass's record count, the block's
+        slot-value sum over every range, and the counter stats — slot_sum
+        == pass_records iff the block really started the pass all-zero.
         """
         if octets is not None:
             octets = first_octets(octets)

@@ -18,7 +18,7 @@ prefixes seen, not the number of records.
 
 ``first_octet_base``/``first_octet_span`` narrow a counter to a slice of
 the first-octet range, shrinking the handle table proportionally; the
-parallel scheme runs one narrowed counter per partition.
+parallel scheme runs one narrowed counter per owner's octet range.
 
 Blocks are stored as rows of one growing pool array. Counting goes
 through one seam, ``add_runs(values, counts)``: ascending distinct
@@ -53,8 +53,6 @@ class TlmbCounter:
             raise ValueError(
                 f"first_octet_span {first_octet_span} does not fit at base {first_octet_base}"
             )
-        self._base = first_octet_base
-        self._span = first_octet_span
         self._base_prefix = first_octet_base << 16
         self._handles = np.zeros(first_octet_span * 65536, dtype=np.uint64)
         self._pool = np.zeros((_POOL_SEED_BLOCKS, BLOCK_SLOTS), dtype=np.uint64)

@@ -57,7 +57,7 @@ class TestRunMethod:
             assert parallel == serial, method
             assert stats["records_ingested"] == 30_000
             assert stats.keys() >= serial_stats.keys() | {"workers"}, method
-            # the workers share one spill, so it is reported once, not per worker
+            # ssmb builds one spill for all its sweep threads, so it is reported once, not per thread
             for key in ("records_ingested", "q", "passes", "allocated_second_blocks", "first_layer_bytes", "spill_bytes"):
                 assert stats.get(key) == serial_stats.get(key), (method, key)
         assert serial_stats["spill_bytes"] > 0

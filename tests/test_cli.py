@@ -125,9 +125,17 @@ class TestTopk:
             run_cli("topk", "--method", "tlmb", "--input", str(small_file))
         assert err.value.code == 1
 
-    def test_non_power_of_two_tlmb_workers_exit_1(self, small_file):
+    def test_tlmb_takes_1_to_256_workers(self, small_file, capsys):
+        outputs = []
+        for workers in range(1, 9):
+            assert run_cli("topk", "--method", "tlmb", "--k", "2", "--input", str(small_file),
+                           "--workers", str(workers)) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs == ["1.2.3.4\t2\n1.2.3.5\t1\n"] * 8
+        # rejected by the plan, before the file is read or any thread starts
         assert run_cli("topk", "--method", "tlmb", "--k", "1", "--input", str(small_file),
-                       "--workers", "3") == 1
+                       "--workers", "257") == 1
+        assert "at most 256" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "method, counter, error",

@@ -1,5 +1,6 @@
 """Addresses, text/binary record files, and stream sources."""
 
+from contextlib import contextmanager
 from unittest import mock
 
 import numpy as np
@@ -268,6 +269,28 @@ class TestDecoderDifferential:
             assert caught.value.line_number == 1
 
 
+def kernel_takes(data: bytes) -> bool:
+    """Whether every line of ``data``, which ends in LF, is a plain dotted quad the slice kernel accepts."""
+    for line in data[:-1].split(b"\n"):
+        parts = line.removesuffix(b"\r").split(b".")
+        if len(parts) != 4 or not all(p.isdigit() and len(p) <= 3 and int(p) <= 255 for p in parts):
+            return False
+    return True
+
+
+@contextmanager
+def declined_slices():
+    """Record the bytes of every slice the text decoder hands to the per-line parser."""
+    parse_lines, declined = model._parse_lines, []
+
+    def recording_parse_lines(block, line_base, lenient):
+        declined.append(bytes(block))
+        return parse_lines(block, line_base, lenient)
+
+    with mock.patch.object(model, "_parse_lines", recording_parse_lines):
+        yield declined
+
+
 @pytest.fixture
 def arenas(monkeypatch):
     """Every kernel scratch arena the streams of one test create, in order."""
@@ -303,10 +326,15 @@ class TestKernelArena:
     @example([b"1.2.3.4\r\n5.6.7.8\r\n" + _PURE, b"9.9.9.9\r\n"], 9, 32, False)
     # a line longer than the arena, after and before pure slices
     @example([_PURE, b"1.2.3.4 " + b"x" * 200 + b"\n" + _PURE], 16, 32, False)
+    # a strict error inside a line longer than the arena: its exact line number and text
+    @example([_PURE, _PURE + b"1.2.3.256 " + b"x" * 200 + b"\n" + _PURE], 16, 32, False)
+    # pure LF and CRLF chunks whose slices fit the arena: the kernel takes every slice
+    @example([_PURE * 8, b"9.9.9.9\r\n10.0.0.255\r\n" * 4], 16, 4096, False)
     def test_arena_kernel_matches_per_line_parser(self, chunks, slice_bytes, capacity, lenient):
         scratch = model._Scratch(capacity)
         line_base = 0
-        with mock.patch.object(model, "TEXT_SLICE_BYTES", slice_bytes):
+        parse_lines = model._parse_lines
+        with mock.patch.object(model, "TEXT_SLICE_BYTES", slice_bytes), declined_slices() as declined:
             for data in chunks:
                 data = data if data.endswith(b"\n") else data + b"\n"
                 lines = data.count(b"\n")
@@ -317,27 +345,37 @@ class TestKernelArena:
                     return values.tolist(), seen, skipped
 
                 def per_line():
-                    values, skipped = model._parse_lines(memoryview(data), line_base, lenient)
+                    values, skipped = parse_lines(memoryview(data), line_base, lenient)
                     return values.tolist(), lines, skipped
 
+                declined.clear()
                 got = decode_outcome(kernel)
                 assert got == decode_outcome(per_line)
+                if len(data) <= capacity and kernel_takes(data):
+                    assert declined == []
                 if got[0] != "ok":
                     break
                 line_base += lines
         scratch.close()
         assert scratch._map.closed
 
-    def test_line_longer_than_the_arena_grows_it_mid_stream(self, tmp_path, arenas):
-        data = _PURE * 4 + b"1.2.3.4 " + b"x" * 3000 + b"\n" + _PURE * 4
+    def test_line_longer_than_the_arena_is_parsed_line_by_line(self, tmp_path, arenas):
+        long_line = b"1.2.3.4 " + b"x" * 3000 + b"\n"
+        data = _PURE * 4 + long_line + _PURE * 4
         path = tmp_path / "long.txt"
         path.write_bytes(data)
-        with mock.patch.object(model, "TEXT_CHUNK_BYTES", 64), mock.patch.object(model, "TEXT_SLICE_BYTES", 16):
+        with (
+            mock.patch.object(model, "TEXT_CHUNK_BYTES", 64),
+            mock.patch.object(model, "TEXT_SLICE_BYTES", 16),
+            declined_slices() as declined,
+        ):
             stream = open_stream(path)
             batches = [batch.tolist() for batch in stream.batches()]
         (arena,) = arenas
         assert [value for batch in batches for value in batch] == per_line_reference(data, False)[0]
-        assert arena.capacity > 3000 and arena._map.closed
+        # only the long line's slice skipped the kernel; the arena kept its size and its one mapping
+        assert declined == [long_line]
+        assert arena.capacity == 16 + 1024 and arena._map.closed
 
     def test_streams_read_alternately_keep_their_own_arenas(self, tmp_path, arenas):
         paths = []

@@ -221,9 +221,8 @@ def shared_counter():
     batch_records=st.integers(1, 50),
     octets=st.none() | st.lists(st.sampled_from([0, 1, 3, 7, 128, 255]), max_size=5),
     k=st.integers(1, 20),
-    prebuilt=st.booleans(),
 )
-def test_spill_backed_top_k_matches_oracle(shared_counter, records, batch_records, octets, k, prebuilt):
+def test_spill_backed_top_k_matches_oracle(shared_counter, records, batch_records, octets, k):
     values = np.array(records, dtype=np.uint32)
     source = CountingSource(ArraySource(values))
     planned = set(records if octets is None else (v for v in records if v >> 24 in octets))
@@ -235,11 +234,7 @@ def test_spill_backed_top_k_matches_oracle(shared_counter, records, batch_record
         passes[octet] = stats["pass_records"]
 
     with mock.patch.object(ipstat.model, "BATCH_RECORDS", batch_records):
-        if prebuilt:
-            with spilled(source) as spill:
-                entries = shared_counter.top_k(spill, k, octets=octets, pass_hook=hook)
-        else:
-            entries = shared_counter.top_k(source, k, octets=octets, pass_hook=hook)
+        entries = shared_counter.top_k(source, k, octets=octets, pass_hook=hook)
     stats = shared_counter.stats()
     assert as_pairs(entries) == oracle_top_k(planned_records, k)
     assert stats["records_ingested"] == len(planned_records)
@@ -345,15 +340,16 @@ class TestSpill:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # interleave the sweep threads with the pass that scatters the spill
         try:
-            with spilled(source) as spill:
-                counter = SsmbCounter(workers=3)
-                entries = counter.top_k(spill, 10)
-                assert counter.stats()["spill_bytes"] == spill.spill_bytes
+            counter = SsmbCounter(workers=3)
+            entries = counter.top_k(source, 10)
         finally:
             sys.setswitchinterval(interval)
         assert as_pairs(entries) == oracle_top_k(values, 10)
         assert counter.stats()["records_ingested"] == values.size
         assert source.opens == 1
+        # the counter built one spill, as large as one built on its own
+        with spilled(ArraySource(values)) as spill:
+            assert counter.stats()["spill_bytes"] == spill.spill_bytes > 0
 
     def test_malformed_later_chunk_closes_spill(self, tmp_path, monkeypatch):
         data = tmp_path / "bad.txt"
