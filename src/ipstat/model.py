@@ -44,12 +44,12 @@ BINARY_MAGIC = b"IPR1"
 # binary/array batch carries.
 TEXT_CHUNK_BYTES = 8 << 20
 # A slice that needs the per-line parser costs only its own bytes. A
-# stream's scratch arena takes about 6 bytes per slice byte and stays
-# resident while the stream is read. In fresh processes on a 1M-line file
-# (2 CPUs), hash's peak RSS read 66.1, 66.6, 67.6 and 69.7 MiB with 32, 128,
-# 256 and 512 KiB slices; ssmb's read 159.4 MiB at every size, as the arena
-# is gone before its 128 MiB block is touched. Decoding a 5M-line file took
-# 0.52 s with 32 KiB slices and 0.40-0.45 s with 128 KiB.
+# stream's scratch arena takes about 6 bytes per slice byte (7 for CRLF
+# text) and stays resident while the stream is read. In fresh processes on
+# a 1M-line file (2 CPUs), hash's peak RSS read 66.1, 66.6, 67.6 and 69.7
+# MiB with 32, 128, 256 and 512 KiB slices; ssmb's read 159.4 MiB at every
+# size, as the arena is gone before its 128 MiB block is touched. Decoding
+# a 5M-line file took 0.52 s with 32 KiB slices and 0.40-0.45 s with 128 KiB.
 TEXT_SLICE_BYTES = 128 << 10
 BATCH_RECORDS = 1 << 20
 
@@ -161,10 +161,15 @@ def aggregate(batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Distinct values of a uint32 batch, ascending, with uint64 multiplicities.
 
     Every block counter ingests through this: it touches its own count
-    slots once per distinct address rather than once per record.
+    slots once per distinct address rather than once per record. One sorted
+    copy and a mask of its run starts give both; a count is a run's length.
     """
-    values, counts = np.unique(np.asarray(batch, dtype=np.uint32), return_counts=True)
-    return values, counts.astype(np.uint64)
+    ordered = np.sort(np.asarray(batch, dtype=np.uint32))
+    fresh = np.empty(ordered.size, dtype=np.bool_)
+    fresh[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=fresh[1:])
+    starts = np.flatnonzero(fresh)
+    return ordered[starts], np.diff(starts, append=ordered.size).astype(np.uint64)
 
 
 def octet_runs(values: np.ndarray) -> list[tuple[int, int, int]]:
@@ -282,9 +287,11 @@ def _parse_text_chunk(chunk: mmap.mmap, stop: int, line_base: int, lenient: bool
         raw = np.frombuffer(view[start:end], dtype=np.uint8)
         # past the stream's arena, a slice holds a line of over 1 KiB, which the kernel declines
         fits = raw.size <= scratch.capacity
-        if fits and chunk.find(b"\r", start, end) >= 0:
-            raw = np.delete(raw, np.flatnonzero((raw[:-1] == _CR) & (raw[1:] == _LF)))
-        if fits and _parse_pure_block(raw, count, scratch, out[records : records + count]):
+        crlf = fits and chunk.find(b"\r", start, end) >= 0
+        # no name holds the CRLF copy either; the kernel reads it in place of the slice
+        if fits and _parse_pure_block(
+            _drop_crlf_crs(raw, scratch) if crlf else raw, count, scratch, out[records : records + count]
+        ):
             records += count
         else:
             arr, dropped = _parse_lines(view[start:end], line_base + lines, lenient)
@@ -293,6 +300,15 @@ def _parse_text_chunk(chunk: mmap.mmap, stop: int, line_base: int, lenient: bool
             skipped += dropped
         lines += count
     return out[:records], lines, skipped
+
+
+def _drop_crlf_crs(raw: np.ndarray, scratch: _Scratch) -> np.ndarray:
+    """Copy a slice ending in LF into ``scratch.text`` without each CRLF's CR; other CRs stay, for the kernel to decline."""
+    keep = np.not_equal(raw, _CR, out=scratch.mask[: raw.size])
+    np.logical_or(keep[:-1], np.not_equal(raw[1:], _LF, out=scratch.dig[3 : raw.size + 2]), out=keep[:-1])
+    kept = raw[keep]
+    scratch.text[: kept.size] = kept
+    return scratch.text[: kept.size]
 
 
 class _Scratch:
@@ -307,18 +323,19 @@ class _Scratch:
 
     def __init__(self, capacity: int):
         step = (capacity + 10) & ~7  # a slice and its 3 leading bytes; each array starts 8-aligned
-        self._map = mmap.mmap(-1, 6 * step)
+        self._map = mmap.mmap(-1, 7 * step)
         self.digit = np.frombuffer(self._map, np.uint8, capacity + 3, 0)
         self.dig = np.frombuffer(self._map, np.bool_, capacity + 3, step)
         self.mask = np.frombuffer(self._map, np.bool_, capacity, 2 * step)
         self.value = np.frombuffer(self._map, np.uint16, capacity, 3 * step)
         # a slice that passes the adjacency check has a separator at most every other byte
         self.part = np.frombuffer(self._map, np.uint16, capacity // 2 + 1, 5 * step)
+        self.text = np.frombuffer(self._map, np.uint8, capacity, 6 * step)  # a CRLF slice without its CRs
         self.capacity = capacity
 
     def close(self) -> None:
         # the views export the mapping's buffer, so they go first
-        self.digit = self.dig = self.mask = self.value = self.part = None
+        self.digit = self.dig = self.mask = self.value = self.part = self.text = None
         try:
             self._map.close()
         except BufferError:

@@ -57,6 +57,10 @@ def per_octet(counts: Counter) -> dict[int, int]:
 @given(st.lists(_addresses, max_size=60))
 @example([])
 @example([0xFF000001] * 30)
+@example([0xFFFFFFFF, 0, 0xFFFFFFFF])
+@example([0x7F000001])
+@example([0xFFFFFFFF, 0x7F000100, 0x01000001, 0x00000001, 0])
+@example([0x01000002] + [0x7F000001] * 20 + [0x00000003])
 def test_aggregate_matches_counter(batch):
     values, counts = aggregate(np.array(batch, dtype=np.uint32))
     assert values.dtype == np.uint32 and counts.dtype == np.uint64

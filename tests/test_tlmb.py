@@ -5,6 +5,7 @@ import pytest
 
 from conftest import as_pairs, oracle_counts, oracle_top_k, random_addresses
 from ipstat import ArraySource, TlmbCounter, from_u32, parse_dotted, query, to_u32
+from ipstat.tlmb import _SWEEP_BLOCKS
 
 FIRST_LAYER_BYTES = 134_217_728
 BLOCK_BYTES = 2048
@@ -123,6 +124,30 @@ class TestTopK:
         counter = TlmbCounter()
         counter.ingest_many(values)
         assert counter.top_k(25) == counter.top_k(25)
+
+    def test_sweep_across_chunk_boundaries(self):
+        # more blocks than two sweep chunks, over four first octets
+        prefixes = np.arange(2 * _SWEEP_BLOCKS + 100, dtype=np.uint32) * np.uint32(13)
+        addresses = (prefixes << np.uint32(8)) | (prefixes & np.uint32(0xFF))
+        counts = 1 + np.arange(prefixes.size) % 3
+        middle = prefixes.size // 2
+        counts[middle : middle + 3] = (10, 9, 8)
+        # the 4th count is tied between the first block and the last, and the
+        # lower address sits in the last: its prefix arrives in a later batch
+        counts[0] = counts[1] = 7
+        records = np.repeat(addresses, counts)
+        late = records >> np.uint32(8) == prefixes[0]
+        counter = TlmbCounter()
+        counter.ingest_many(records[~late])
+        counter.ingest_many(records[late])
+        assert counter._prefixes[0] == prefixes[1] and counter._prefixes[counter._allocated - 1] == prefixes[0]
+        assert counter._allocated > 2 * _SWEEP_BLOCKS
+        for k in (3, 4, 5, prefixes.size - 1, prefixes.size, prefixes.size + 1):
+            expected = oracle_top_k(records, k)
+            assert as_pairs(counter.top_k(k)) == expected, f"k={k}"
+            for workers in (2, 3):
+                entries, _ = query(ArraySource(records), "tlmb", k, workers=workers)
+                assert as_pairs(entries) == expected, f"k={k} workers={workers}"
 
     def test_runner_over_source(self):
         rng = np.random.default_rng(304)
