@@ -263,42 +263,38 @@ def _text_batches(handle: BinaryIO, lenient: bool) -> Iterator[tuple[np.ndarray,
 def _parse_text_chunk(chunk: mmap.mmap, stop: int, line_base: int, lenient: bool, scratch: _Scratch):
     """Parse chunk[:stop], which ends in LF; returns (uint32 array, line count, skipped).
 
-    A slice ends at the first LF that makes it TEXT_SLICE_BYTES long or
-    longer, and is decoded on its own, by the kernel or else line by line.
-    The kernel works in ``scratch``, which the stream keeps for all its
-    slices; a slice longer than ``scratch.capacity`` goes line by line. The
-    result depends only on the bytes, ``line_base`` and ``lenient``.
+    One loop walks the chunk's slices. A slice ends at the first LF that
+    makes it TEXT_SLICE_BYTES long or longer, and is decoded on its own, by
+    the kernel or else line by line; whichever decodes it also reports its
+    line count. The kernel works in ``scratch``, which the stream keeps for
+    all its slices; a slice longer than ``scratch.capacity`` goes line by
+    line. The result depends only on the bytes, ``line_base`` and ``lenient``.
     """
     view = memoryview(chunk)
-    cuts = []
-    start = 0
+    # An accepted line is at least "0.0.0.0\n": the records fit stop // 8 + 1
+    # words (a mapping cannot be empty), whose untouched pages cost nothing.
+    # Its own mapping goes with its last view: a freed heap batch would raise
+    # glibc's trim threshold, and heap left resident stays under ssmb's block.
+    out = np.frombuffer(mmap.mmap(-1, 4 * (stop // 8 + 1)), dtype=np.uint32)
+    records = lines = skipped = start = 0
     while start < stop:
         end = chunk.find(b"\n", min(start + TEXT_SLICE_BYTES, stop) - 1, stop) + 1
-        raw = np.frombuffer(view[start:end], dtype=np.uint8)
-        fits = raw.size <= scratch.capacity  # no name holds the mask: an error's traceback would keep it mapped
-        cuts.append((start, end, np.count_nonzero(np.equal(raw, _LF, out=scratch.mask[: raw.size] if fits else None))))
-        start = end
-    # A record takes a line, so the records fill one array in place. Its own
-    # mapping goes with its last view: a freed heap batch would raise glibc's
-    # trim threshold, and heap left resident stays under ssmb's block.
-    out = np.frombuffer(mmap.mmap(-1, 4 * sum(count for _, _, count in cuts)), dtype=np.uint32)
-    records = lines = skipped = 0
-    for start, end, count in cuts:
         raw = np.frombuffer(view[start:end], dtype=np.uint8)
         # past the stream's arena, a slice holds a line of over 1 KiB, which the kernel declines
         fits = raw.size <= scratch.capacity
         crlf = fits and chunk.find(b"\r", start, end) >= 0
-        # no name holds the CRLF copy either; the kernel reads it in place of the slice
-        if fits and _parse_pure_block(
-            _drop_crlf_crs(raw, scratch) if crlf else raw, count, scratch, out[records : records + count]
-        ):
-            records += count
+        # no name holds the CRLF copy: an error's traceback would keep the arena mapped
+        taken = fits and _parse_pure_block(_drop_crlf_crs(raw, scratch) if crlf else raw, scratch, out[records:])
+        if taken:
+            records += taken
+            lines += taken
         else:
-            arr, dropped = _parse_lines(view[start:end], line_base + lines, lenient)
+            arr, count, dropped = _parse_lines(view[start:end], line_base + lines, lenient)
             out[records : records + arr.size] = arr
             records += arr.size
+            lines += count
             skipped += dropped
-        lines += count
+        start = end
     return out[:records], lines, skipped
 
 
@@ -344,14 +340,14 @@ class _Scratch:
             pass
 
 
-def _parse_pure_block(raw: np.ndarray, lines: int, scratch: _Scratch, out: np.ndarray) -> bool:
-    """Vectorized decode of any slice of whole lines; ``lines`` is its LF count.
+def _parse_pure_block(raw: np.ndarray, scratch: _Scratch, out: np.ndarray) -> int:
+    """Vectorized decode of any slice of whole lines; returns how many it wrote to the head of ``out``.
 
     Classifies each byte as a digit or a separator, finds the separators
-    once, then computes the value of the part ending at each one from
-    shifted views of the slice's digits. Every slice-sized intermediate is
-    written into ``scratch``, and the lines' addresses into ``out``. Returns
-    False, leaving ``out`` undefined, unless every line is four dot-separated
+    once, and reads the line count off them; then computes the value of
+    the part ending at each one from shifted views of the slice's digits.
+    Every slice-sized intermediate is written into ``scratch``. Returns 0,
+    leaving ``out`` untouched, unless every line is four dot-separated
     parts of one to three digits, each at most 255; the caller then parses
     the slice line by line, which decides what is malformed.
     """
@@ -362,16 +358,17 @@ def _parse_pure_block(raw: np.ndarray, lines: int, scratch: _Scratch, out: np.nd
     np.less_equal(digit[3:], 9, out=dig[3:])
     at = np.flatnonzero(np.logical_not(dig[3:], out=mask))
     # four separators a line, every fourth the LF and the other three dots
+    lines = at.size // 4
     dots = np.count_nonzero(np.equal(raw, _DOT, out=mask))
-    if at.size != 4 * lines or (raw[at[3::4]] != _LF).any() or dots != 3 * lines:
-        return False
+    if at.size % 4 or (raw[at[3::4]] != _LF).any() or dots != 3 * lines:
+        return 0
     # one to three digits a part: no separator right after another, no four digits in a row
     if not np.logical_or(dig[3:], dig[2:-1], out=mask).all():
-        return False
+        return 0
     np.logical_and(dig[3:], dig[2:-1], out=mask)
     np.logical_and(mask, dig[1:-2], out=mask)
     if np.logical_and(mask, dig[:-3], out=mask).any():
-        return False
+        return 0
     np.multiply(digit[3:], dig[3:], out=digit[3:])
     # a part ending before raw[i] is digit[i+2] + 10 digit[i+1] + 100 digit[i],
     # the last term only when padded byte i+1 is a digit too
@@ -384,19 +381,20 @@ def _parse_pure_block(raw: np.ndarray, lines: int, scratch: _Scratch, out: np.nd
     # every index is in range; "clip" writes straight into out, "raise" would buffer it
     part = np.take(value, at, out=scratch.part[: at.size], mode="clip")
     if part.max() > 255:
-        return False
+        return 0
     # each line's four octets, read as one big-endian word
     octets = mask.view(np.uint8)[: at.size]
     np.copyto(octets, part, casting="unsafe")
-    np.copyto(out, octets.view(">u4"))
-    return True
+    np.copyto(out[:lines], octets.view(">u4"))
+    return lines
 
 
-def _parse_lines(block: memoryview, line_base: int, lenient: bool) -> tuple[np.ndarray, int]:
+def _parse_lines(block: memoryview, line_base: int, lenient: bool) -> tuple[np.ndarray, int, int]:
+    """Parse ``block`` line by line; returns (uint32 array, LF count, skipped)."""
     out = []
     skipped = 0
-    text = str(block, "utf-8", errors="replace")
-    for offset, line in enumerate(text.split("\n")):
+    rows = str(block, "utf-8", errors="replace").split("\n")
+    for offset, line in enumerate(rows):
         line = line.strip()
         if not line:
             continue
@@ -407,7 +405,7 @@ def _parse_lines(block: memoryview, line_base: int, lenient: bool) -> tuple[np.n
                 skipped += 1
                 continue
             raise type(exc)(exc.args[0], line_number=line_base + offset + 1) from None
-    return np.array(out, dtype=np.uint32), skipped
+    return np.array(out, dtype=np.uint32), len(rows) - 1, skipped
 
 
 class FileSource:

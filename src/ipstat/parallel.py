@@ -129,12 +129,6 @@ def run_parallel(source, plan: PartitionPlan, k: int) -> tuple[list[HeapEntry], 
     """Run one partitioned tlmb top-k; returns (merged entries, worker results)."""
     if plan.method != "tlmb":
         raise InvalidPlan("only tlmb plans run partitioned; ssmb sweeps one block with SsmbCounter(workers=W)")
-    results = _run_tlmb(source, plan, k)
-    merged = merge_top_k((r.candidates for r in results), k)
-    return merged, results
-
-
-def _run_tlmb(source, plan: PartitionPlan, k: int) -> list[WorkerResult]:
     # closing the runs drops the stream, so a failed query closes a file
     # source at once, without the cyclic collector; the pool has joined its
     # workers by then
@@ -157,5 +151,5 @@ def _run_tlmb(source, plan: PartitionPlan, k: int) -> list[WorkerResult]:
             for future in futures:
                 future.result()
         tops = [pool.submit(counter.top_k, k) for counter in counters]
-        return [WorkerResult(top.result(), counter.stats()) for counter, top in zip(counters, tops)]
-
+        results = [WorkerResult(top.result(), counter.stats()) for counter, top in zip(counters, tops)]
+    return merge_top_k((r.candidates for r in results), k), results

@@ -43,7 +43,7 @@ import numpy as np
 
 from .errors import InvalidPlan
 from .model import aggregate, checked_add, octet_runs
-from .topk import HeapEntry, TopKHeap, merge_top_k
+from .topk import HeapEntry, TopKHeap, merge_top_k, offer_nonzero
 
 BLOCK_SLOTS = 1 << 24
 BLOCK_BYTES = BLOCK_SLOTS * 8
@@ -134,19 +134,15 @@ def offer_block(heap: TopKHeap, block: np.ndarray, octet: int, base: int = 0) ->
     Slot s of ``block``, a whole number of tiles, counts the address
     ``octet << 24 | base + s``. One read of every byte names the live
     ``TILE_SLOTS``-slot tiles; only they are scanned, ``GROUP_TILES`` at a
-    time. Zeroing the returned tiles clears every non-zero slot.
+    time, through ``offer_nonzero``. Zeroing the returned tiles clears every
+    non-zero slot.
     """
     tiles = block.reshape(-1, TILE_SLOTS)
     live = np.flatnonzero(tiles.view(np.uint8).max(axis=1))
     total = 0
     for start in range(0, live.size, GROUP_TILES):
         group = live[start : start + GROUP_TILES]
-        scan = tiles[group].ravel()
-        hits = np.flatnonzero(scan != 0)
-        values = scan[hits]
-        slots = (base + group[hits // TILE_SLOTS] * TILE_SLOTS + hits % TILE_SLOTS).astype(np.uint32)
-        heap.offer_many(np.uint32(octet << 24) | slots, values)
-        total += int(values.sum())
+        total += offer_nonzero(heap, tiles[group], (octet << 24) + base + group * TILE_SLOTS)
     return total, live
 
 

@@ -246,6 +246,13 @@ class TestDecoderDifferential:
     # a part above 255 in the last line of a chunk
     @example(_PURE + b"4.4.4.256\n" + _PURE, 30, 512 << 10, False)
     @example(_PURE + b"4.4.4.256\n" + _PURE, 30, 512 << 10, True)
+    # eight separators whose fourth is a dot: the kernel counts lines by the LFs among them
+    @example(b"1.2.3\n4.5.6.7.8\n", 8 << 20, 512 << 10, False)
+    @example(b"1.2.3\n4.5.6.7.8\n", 8 << 20, 512 << 10, True)
+    # minimum-length lines only: the records fill the chunk's array to its bound
+    @example(b"0.0.0.0\n" * 64, 8, 512 << 10, False)
+    @example(b"0.0.0.0\n" * 64, 8 << 20, 512 << 10, False)
+    @example(b"0.0.0.0\r\n" * 64, 8 << 20, 512 << 10, False)
     def test_vectorized_matches_per_line(self, path, data, chunk_bytes, slice_bytes, lenient):
         path.write_bytes(data)
 
@@ -345,8 +352,9 @@ class TestKernelArena:
                     return values.tolist(), seen, skipped
 
                 def per_line():
-                    values, skipped = parse_lines(memoryview(data), line_base, lenient)
-                    return values.tolist(), lines, skipped
+                    values, seen, skipped = parse_lines(memoryview(data), line_base, lenient)
+                    assert seen == lines
+                    return values.tolist(), seen, skipped
 
                 declined.clear()
                 got = decode_outcome(kernel)
