@@ -169,10 +169,7 @@ def main(argv=None) -> int:
     except (InvalidSpec, InvalidPlan) as exc:
         print(f"ipstat: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (MalformedAddress, BinaryFormatError, AllocationFailure, CountOverflow) as exc:
-        print(f"ipstat: error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except OSError as exc:
+    except (MalformedAddress, BinaryFormatError, AllocationFailure, CountOverflow, OSError) as exc:
         print(f"ipstat: error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except MemoryError as exc:

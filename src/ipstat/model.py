@@ -13,8 +13,9 @@ Two record file formats are supported:
 * binary: 8-byte header = magic "IPR1" plus a 4-byte little-endian record
   count, then that many 4-byte little-endian address words.
 
-Text is read in 8 MiB chunks, one batch each, and every chunk is decoded
-in line-aligned slices of about 128 KiB. A vectorized kernel classifies
+Text is read in 8 MiB chunks, one batch each, and each chunk runs on to
+the end of its last line, so it stands alone. Every chunk is decoded in
+line-aligned slices of about 128 KiB. A vectorized kernel classifies
 every byte of a slice (the CR of each CRLF dropped) and only accepts or
 declines it: it accepts plain ``a.b.c.d`` lines with parts up to 255,
 computing each part from shifted views of the slice. It writes every
@@ -139,8 +140,8 @@ def open_stream(path, fmt: str = "auto", lenient: bool = False) -> RecordStream:
     text record is malformed is decided by the per-line parser: in strict
     mode (default) the first malformed line raises with its line number; in
     lenient mode malformed lines are counted and skipped. Text yields one
-    batch per TEXT_CHUNK_BYTES (8 MiB) chunk read, binary one per
-    BATCH_RECORDS records.
+    batch per TEXT_CHUNK_BYTES (8 MiB) chunk read, run on to the end of
+    its last line, binary one per BATCH_RECORDS records.
     """
     if fmt not in ("auto", "text", "binary"):
         raise ValueError(f"unknown format {fmt!r}")
@@ -228,35 +229,27 @@ def _text_batches(handle: BinaryIO, lenient: bool) -> Iterator[tuple[np.ndarray,
         # objects: freeing an 8 MiB malloc block raises glibc's dynamic mmap
         # and trim thresholds, and the heap that decode leaves behind then
         # stays resident through the 128 MiB block of a later ssmb pass
-        # (up to 12 MiB more peak RSS on a 1M-line file). Untouched pages
-        # of the spare half cost nothing; a line longer than a chunk grows
-        # the mapping.
+        # (up to 12 MiB more peak RSS on a 1M-line file). A chunk is
+        # TEXT_CHUNK_BYTES read at the front, then the rest of its last line,
+        # so it holds whole lines only and nothing is carried to the next.
+        # Untouched pages of the spare half cost nothing; a last line that
+        # runs past the mapping grows it.
         buf = mmap.mmap(-1, 2 * TEXT_CHUNK_BYTES)
-        held = 0  # bytes of an unfinished line, kept at the front
         line_base = 0
-        while True:
-            if held + TEXT_CHUNK_BYTES >= len(buf):
-                bigger = mmap.mmap(-1, 2 * len(buf))
-                bigger[:held] = buf[:held]
+        while read := handle.readinto(memoryview(buf)[:TEXT_CHUNK_BYTES]):
+            tail = handle.readline()
+            stop = read + len(tail)
+            if stop >= len(buf):
+                bigger = mmap.mmap(-1, stop + 1)
+                bigger[:read] = buf[:read]
                 buf = bigger
-            with memoryview(buf) as view:
-                read = handle.readinto(view[held : held + TEXT_CHUNK_BYTES])
-            if not read:
-                break
-            stop = held + read
-            cut = buf.rfind(b"\n", held, stop)
-            if cut < 0:
-                held = stop
-                continue
-            arr, lines, skipped = _parse_text_chunk(buf, cut + 1, line_base, lenient, scratch)
+            buf[read:stop] = tail
+            if buf[stop - 1] != _LF:
+                # final record without a trailing newline
+                buf[stop] = _LF
+                stop += 1
+            arr, lines, skipped = _parse_text_chunk(buf, stop, line_base, lenient, scratch)
             line_base += lines
-            held = stop - cut - 1
-            buf.move(0, cut + 1, held)
-            yield arr, skipped
-        if held:
-            # final record without a trailing newline
-            buf[held : held + 1] = b"\n"
-            arr, _, skipped = _parse_text_chunk(buf, held + 1, line_base, lenient, scratch)
             yield arr, skipped
 
 

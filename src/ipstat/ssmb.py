@@ -4,18 +4,18 @@ The address space is split into subsets by first octet. One count block of
 256*256*256 = 2**24 uint64 slots (134,217,728 bytes) is allocated once and
 reused for every subset.
 
-The input is decoded once, into a spill (``OctetSpill``). Each batch is
-aggregated (``model.aggregate``); its ascending distinct addresses are cut
-at first-octet boundaries, and each slice is appended as (low-24 slot,
-count) runs to one unlinked temporary file, with an in-memory index of
-every first octet's runs; ``spilled(source)`` builds the spill and closes
-it. The first octets present fall out of this pass, so no separate
-discovery pass is needed. Each subset pass then reads back only its own
-octet's runs, adds them at slot b*65536 + c*256 + d (the low 24 bits of
-the address), and sweeps the block (``offer_block``, ipmap's sweep too):
-one read of the block names its live (non-zero) 512-slot tiles, and only
-those are scanned and then re-zeroed, so the next pass starts from an
-all-zero block.
+The input is decoded once, into a spill (``OctetSpill``):
+``spilled(source)`` aggregates each batch (``model.aggregate``), appends
+its runs, and closes the spill on exit. The spill cuts a batch's ascending
+distinct addresses at first-octet boundaries and appends each slice as
+(low-24 slot, count) runs to one unlinked temporary file, with an
+in-memory index of every first octet's runs. The first octets present
+fall out of this pass, so no separate discovery pass is needed. Each
+subset pass then reads back only its own octet's runs, adds them at slot
+b*65536 + c*256 + d (the low 24 bits of the address), and sweeps the
+block (``offer_block``, ipmap's sweep too): one read of the block names
+its live (non-zero) 512-slot tiles, and only those are scanned and then
+re-zeroed, so the next pass starts from an all-zero block.
 
 The calling thread scatters each pass's runs (about one entry per distinct
 address); then W threads (``workers=W``) each sweep and re-zero one
@@ -71,13 +71,13 @@ def discover_subsets(source) -> list[int]:
 
 
 class OctetSpill:
-    """One decode pass of a source, aggregated and filed by first octet.
+    """One decode pass of a source, filed by first octet.
 
-    Batch by batch, each first octet's distinct low-24 slots and their
-    counts are appended as one segment of ``RUN`` entries to an unlinked
-    temporary file. ``runs(octet)`` reads that octet's segments back with
-    ``os.pread``. ``spilled(source)`` builds a spill and closes it, which
-    releases the file.
+    ``append(values, counts)`` files one batch's runs, the unit
+    ``run_parallel``'s owners take (ascending distinct addresses and their
+    counts): each first octet's low-24 slots and counts become one segment
+    of ``RUN`` entries in an unlinked temporary file, which ``runs(octet)``
+    reads back with ``os.pread``. ``spilled(source)`` closes it on exit.
     """
 
     def __init__(self):
@@ -86,8 +86,7 @@ class OctetSpill:
         self._index: dict[int, list[tuple[int, int]]] = {}
         self.spill_bytes = 0
 
-    def append(self, batch: np.ndarray) -> None:
-        values, counts = aggregate(batch)
+    def append(self, values: np.ndarray, counts: np.ndarray) -> None:
         if values.size == 0:
             return
         runs = np.empty(values.size, dtype=RUN)
@@ -120,7 +119,7 @@ def spilled(source) -> Iterator[OctetSpill]:
     spill = OctetSpill()
     try:
         for batch in source.open().batches():
-            spill.append(batch)
+            spill.append(*aggregate(batch))
         batch = None  # this frame outlives every pass: let the last batch go
         spill._file.flush()
         yield spill

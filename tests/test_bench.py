@@ -245,6 +245,11 @@ for cell, (method, workers) in CELLS.items():
     assert values["topk.candidates"] > 0, (cell, values)
     if method == "ssmb":
         assert values["ssmb.zeroing_ok"] == 1 and values["ssmb.passes"] == octets, (cell, values)
+    # the tracer times ingest by wrapping ingest_many; a serial cell that skips it would read 0
+    if cell == "tlmb":
+        assert values["tlmb.ingest_s"] > 0, (cell, values)
+    if method in ("hash", "ipmap"):
+        assert values["baselines.ingest_s"] > 0, (cell, values)
     print(cell)
 """
 

@@ -369,7 +369,7 @@ class TestSpill:
         appended = []
         append = OctetSpill.append
         monkeypatch.setattr(tempfile, "TemporaryFile", spy)
-        monkeypatch.setattr(OctetSpill, "append", lambda self, batch: appended.append(append(self, batch)))
+        monkeypatch.setattr(OctetSpill, "append", lambda self, *runs: appended.append(append(self, *runs)))
         with pytest.raises(MalformedAddress, match="line 101"):
             SsmbCounter().top_k(FileSource(data), 5)
         assert len(appended) > 1  # earlier chunks were spilled before the bad one
