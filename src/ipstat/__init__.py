@@ -11,7 +11,6 @@ from .baselines import HashCounter, IpMapCounter
 from .bench import BenchRow, query, run_bench, run_method, write_csv
 from .datagen import DatasetSpec, build_dataset, generate, load_truth, verify
 from .errors import (
-    AllocationFailure,
     BinaryFormatError,
     CountOverflow,
     GroundTruthMismatch,

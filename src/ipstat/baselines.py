@@ -24,7 +24,6 @@ from collections import Counter
 
 import numpy as np
 
-from .errors import AllocationFailure
 from .model import IPv4Address, aggregate, checked_add, octet_runs, to_u32
 from .ssmb import BLOCK_BYTES, BLOCK_SLOTS, offer_block
 from .topk import HeapEntry, TopKHeap
@@ -71,14 +70,8 @@ class IpMapCounter:
     def _block(self, octet: int) -> np.ndarray:
         block = self._blocks.get(octet)
         if block is None:
-            try:
-                block = np.zeros(BLOCK_SLOTS, dtype=np.uint64)
-            except MemoryError as exc:
-                raise AllocationFailure(
-                    f"could not allocate count block {len(self._blocks) + 1} "
-                    f"({BLOCK_BYTES} bytes) for first octet {octet}"
-                ) from exc
-            self._blocks[octet] = block
+            # stored only once allocated: a MemoryError leaves no block behind
+            block = self._blocks[octet] = np.zeros(BLOCK_SLOTS, dtype=np.uint64)
         return block
 
     def ingest_many(self, batch: np.ndarray) -> None:

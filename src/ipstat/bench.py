@@ -62,6 +62,16 @@ class BenchRow:
     stddev: float | str
 
 
+def check_method(method: str, workers: int) -> None:
+    """Raise InvalidPlan unless ``query`` can run ``method`` with ``workers``."""
+    if method not in METHODS:
+        raise InvalidPlan(f"unknown method {method!r}; choose from {', '.join(METHODS)}")
+    if workers < 1:
+        raise InvalidPlan(f"worker count must be at least 1, got {workers}")
+    if workers > 1 and method not in ("tlmb", "ssmb"):
+        raise InvalidPlan(f"method {method!r} has no partition scheme; run it with workers=1")
+
+
 def query(source, method: str, k: int, workers: int = 1) -> tuple[list[HeapEntry], dict]:
     """One complete top-k query over a record source; returns (entries, stats).
 
@@ -73,16 +83,11 @@ def query(source, method: str, k: int, workers: int = 1) -> tuple[list[HeapEntry
     tlmb with ``workers > 1`` is partitioned; its stats carry every key of
     the serial stats, each the sum of the workers', plus ``workers``.
     """
-    if method not in METHODS:
-        raise InvalidPlan(f"unknown method {method!r}; choose from {', '.join(METHODS)}")
-    if workers < 1:
-        raise InvalidPlan(f"worker count must be at least 1, got {workers}")
+    check_method(method, workers)
     if method == "ssmb":
         counter = SsmbCounter(workers)
         return counter.top_k(source, k), counter.stats()
     if workers > 1:
-        if method != "tlmb":
-            raise InvalidPlan(f"method {method!r} has no partition scheme; run it with workers=1")
         # the plan has no owners yet: the query cuts them from the first batch it reads
         entries, results = run_parallel(source, PartitionPlan(method="tlmb", workers=workers), k)
         stats = {"workers": len(results)}
@@ -124,6 +129,9 @@ def run_bench(
     """Benchmark every (method, k) cell; the first and every timed answer are validated."""
     if reps < 1:
         raise ValueError(f"reps must be at least 1, got {reps}")
+    # every (method, workers) pair is checked before any cell is timed
+    for method in methods:
+        check_method(method, workers)
     truth = load_truth(truth_path)
     rows = []
     for method in methods:

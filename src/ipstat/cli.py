@@ -14,7 +14,6 @@ import sys
 from .bench import METHODS, run_bench, run_method, write_csv
 from .datagen import DatasetSpec, generate, verify
 from .errors import (
-    AllocationFailure,
     BinaryFormatError,
     CountOverflow,
     GroundTruthMismatch,
@@ -76,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="ipstat", description="Exact top-k frequency statistics for IPv4 record streams.")
     commands = parser.add_subparsers(dest="command", required=True)
 
-    gen = commands.add_parser("gen", parents=[], help="generate a synthetic dataset with ground truth")
+    gen = commands.add_parser("gen", help="generate a synthetic dataset with ground truth")
     gen.add_argument("--records", type=_positive_int, required=True, help="total records to write")
     gen.add_argument("--distinct", type=_positive_int, required=True, help="distinct addresses among them")
     gen.add_argument("--seed", type=int, required=True, help="master seed; same seed, same bytes")
@@ -169,7 +168,7 @@ def main(argv=None) -> int:
     except (InvalidSpec, InvalidPlan) as exc:
         print(f"ipstat: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (MalformedAddress, BinaryFormatError, AllocationFailure, CountOverflow, OSError) as exc:
+    except (MalformedAddress, BinaryFormatError, CountOverflow, OSError) as exc:
         print(f"ipstat: error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except MemoryError as exc:
@@ -179,7 +178,3 @@ def main(argv=None) -> int:
     except (ValidationFailure, GroundTruthMismatch) as exc:
         print(f"ipstat: error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-
-
-if __name__ == "__main__":
-    sys.exit(main())

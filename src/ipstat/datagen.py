@@ -182,10 +182,11 @@ def load_truth(path) -> list[tuple[int, int]]:
     """Read a ground-truth sidecar as (address u32, count) pairs, file order.
 
     The sidecar must be a ranking: counts of at least 1, by descending
-    count, ties by ascending address; GroundTruthMismatch names the line.
+    count, ties by ascending address; GroundTruthMismatch names the line,
+    also one that is not UTF-8 text.
     """
     pairs = []
-    with open(path, encoding="utf-8") as handle:
+    with open(path, encoding="utf-8", errors="replace") as handle:
         for number, line in enumerate(handle, start=1):
             line = line.strip()
             if not line:

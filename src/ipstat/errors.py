@@ -33,10 +33,6 @@ class CountOverflow(IpstatError):
     """A counter slot would exceed its 64-bit unsigned range."""
 
 
-class AllocationFailure(IpstatError):
-    """A counting array could not be allocated (each one costs 128 MiB)."""
-
-
 class InvalidPlan(IpstatError):
     """A partition plan is malformed or does not match the chosen method."""
 

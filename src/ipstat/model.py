@@ -139,9 +139,11 @@ def open_stream(path, fmt: str = "auto", lenient: bool = False) -> RecordStream:
     fmt is "text", "binary", or "auto" (sniff the binary magic). Whether a
     text record is malformed is decided by the per-line parser: in strict
     mode (default) the first malformed line raises with its line number; in
-    lenient mode malformed lines are counted and skipped. Text yields one
-    batch per TEXT_CHUNK_BYTES (8 MiB) chunk read, run on to the end of
-    its last line, binary one per BATCH_RECORDS records.
+    lenient mode malformed lines are counted and skipped. A binary file
+    with a wrong magic or a truncated body always raises; bytes after its
+    declared records raise in strict mode and are ignored in lenient mode.
+    Text yields one batch per TEXT_CHUNK_BYTES (8 MiB) chunk read, run on
+    to the end of its last line, binary one per BATCH_RECORDS records.
     """
     if fmt not in ("auto", "text", "binary"):
         raise ValueError(f"unknown format {fmt!r}")

@@ -6,7 +6,6 @@ import pytest
 import ipstat.baselines as baselines
 from conftest import as_pairs, oracle_counts, oracle_top_k, random_addresses
 from ipstat import (
-    AllocationFailure,
     ArraySource,
     HashCounter,
     IpMapCounter,
@@ -89,8 +88,10 @@ class TestIpMapCounter:
 
         monkeypatch.setattr(baselines.np, "zeros", exhausted)
         counter = IpMapCounter()
-        with pytest.raises(AllocationFailure):
+        with pytest.raises(MemoryError):
             counter.ingest_many(addresses_of("1.2.3.4"))
+        # no partial block is kept
+        assert counter.stats()["allocated_blocks"] == 0
 
 
 class TestCrossMethodEquivalence:

@@ -136,6 +136,20 @@ class TestValidation:
             run_bench(path, truth_path, ["tlmb"], [5], reps=3)
         assert len(calls) == 2
 
+    @pytest.mark.parametrize("unpartitioned", ["hash", "ipmap"])
+    def test_bench_rejects_a_method_without_partitions_before_any_query(self, dataset, monkeypatch, unpartitioned):
+        path, truth_path = dataset
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return run_method(*args, **kwargs)
+
+        monkeypatch.setattr(bench, "run_method", counted)
+        with pytest.raises(InvalidPlan, match=f"method '{unpartitioned}' has no partition scheme"):
+            run_bench(path, truth_path, ["ssmb", unpartitioned], [5], reps=1, workers=2)
+        assert calls == []
+
     def test_bench_aborts_on_wrong_truth(self, dataset, tmp_path):
         path, _ = dataset
         bogus = tmp_path / "bogus.truth"

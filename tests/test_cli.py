@@ -8,7 +8,7 @@ import tempfile
 import numpy as np
 import pytest
 
-from ipstat import AllocationFailure, CountOverflow, IpMapCounter, TlmbCounter
+from ipstat import CountOverflow, TlmbCounter, bench
 from ipstat.cli import main
 
 
@@ -137,27 +137,22 @@ class TestTopk:
                        "--workers", "257") == 1
         assert "at most 256" in capsys.readouterr().err
 
-    @pytest.mark.parametrize(
-        "method, counter, error",
-        [
-            ("ipmap", IpMapCounter, AllocationFailure("could not allocate count block 1")),
-            ("tlmb", TlmbCounter, CountOverflow("an address count would exceed the 64-bit range")),
-        ],
-    )
-    def test_resource_failure_exits_2(self, small_file, capsys, monkeypatch, method, counter, error):
+    def test_resource_failure_exits_2(self, small_file, capsys, monkeypatch):
+        error = CountOverflow("an address count would exceed the 64-bit range")
+
         def fail(self, batch):
             raise error
 
-        monkeypatch.setattr(counter, "ingest_many", fail)
-        assert run_cli("topk", "--method", method, "--k", "1", "--input", str(small_file)) == 2
+        monkeypatch.setattr(TlmbCounter, "ingest_many", fail)
+        assert run_cli("topk", "--method", "tlmb", "--k", "1", "--input", str(small_file)) == 2
         assert capsys.readouterr().err == f"ipstat: error: {error}\n"
 
-    @pytest.mark.parametrize("method", ["tlmb", "ssmb"])
+    @pytest.mark.parametrize("method", ["tlmb", "ssmb", "ipmap"])
     def test_out_of_memory_exits_2(self, small_file, capsys, monkeypatch, method):
         zeros = np.zeros
 
         def scarce(shape, *args, **kwargs):
-            # the tlmb handle table and the ssmb block are 2**24 slots each
+            # the tlmb handle table and the ssmb and ipmap blocks are 2**24 slots each
             if np.prod(shape) >= 1 << 24:
                 raise MemoryError()
             return zeros(shape, *args, **kwargs)
@@ -231,6 +226,22 @@ class TestBench:
         err = capsys.readouterr().err
         assert f"{truth}: truth line 2" in err and "rank 1" not in err
 
+    def test_unpartitioned_method_with_workers_exits_1_before_timing(self, tmp_path, capsys, monkeypatch):
+        data = tmp_path / "d.txt"
+        run_cli("gen", "--records", "1000", "--distinct", "10", "--seed", "5", "--out", str(data))
+        capsys.readouterr()
+        calls = []
+        monkeypatch.setattr(bench, "run_method", lambda *args, **kwargs: calls.append(args))
+        csv_path = tmp_path / "rows.csv"
+        code = run_cli("bench", "--input", str(data), "--truth", str(data) + ".truth",
+                       "--methods", "ssmb,hash", "--k", "1", "--reps", "1", "--workers", "2",
+                       "--csv", str(csv_path))
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "ipstat: error: method 'hash' has no partition scheme; run it with workers=1\n"
+        )
+        assert calls == [] and not csv_path.exists()
+
     def test_unknown_method_exits_1(self, tmp_path):
         with pytest.raises(SystemExit) as err:
             run_cli("bench", "--input", "x", "--truth", "y", "--methods", "quantum",
@@ -278,6 +289,17 @@ class TestVerify:
         run_cli("gen", "--records", "1000", "--distinct", "10", "--seed", "1", "--out", str(data))
         data.write_text("1.2.3.4\n")
         assert run_cli("verify", "--input", str(data), "--truth", str(data) + ".truth") == 3
+
+    def test_verify_sidecar_not_utf8_exits_3(self, tmp_path, capsys):
+        data = tmp_path / "d.bin"
+        run_cli("gen", "--records", "1000", "--distinct", "10", "--seed", "1", "--format", "binary",
+                "--out", str(data))
+        capsys.readouterr()
+        # the binary dataset itself given as its sidecar
+        assert run_cli("verify", "--input", str(data), "--truth", str(data)) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"ipstat: error: {data}: bad truth line 1: ")
+        assert err.count("\n") == 1
 
     def test_verify_empty_sidecar_exits_3(self, tmp_path, capsys):
         data, truth = tmp_path / "d.txt", tmp_path / "d.txt.truth"

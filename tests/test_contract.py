@@ -6,9 +6,15 @@ batches shrink to a few bytes or records, so every stream is cut many
 times, and every cell's rendered ``topk`` lines must equal a sort oracle's.
 The record sets are shaped to meet the seams: address-ordered input (the
 first batch in one octet), all 256 first octets, a single address, k at
-or above the distinct count, and ties at the k-th count that span tlmb
-owners, ssmb sweep ranges and 512-slot tiles.
+or above the distinct count, ties at the k-th count that span tlmb
+owners, ssmb sweep ranges and 512-slot tiles, and no records at all.
+
+Strict text errors placed at a later chunk's seams must name the first bad
+line in every cell, and bytes after a binary file's declared records fail
+strict reads and are ignored by lenient ones.
 """
+
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -16,7 +22,9 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import as_lines, oracle_top_k, property_settings
-from ipstat import FileSource, from_u32, model, query, write_binary
+from ipstat import BinaryFormatError, FileSource, MalformedAddress, from_u32, model, query, write_binary
+from ipstat.bench import METHODS
+from ipstat.cli import main
 from ipstat.ssmb import BLOCK_SLOTS, GROUP_TILES, TILE_SLOTS, sweep_ranges
 
 FORMATS = ("lf", "crlf", "junk", "binary")
@@ -56,6 +64,10 @@ def write(path, fmt: str, records: np.ndarray, rng: np.random.Generator) -> None
     lines = dotted(records)
     if fmt != "junk":
         path.write_bytes(b"".join(line + (b"\r\n" if fmt == "crlf" else b"\n") for line in lines))
+        return
+    if not lines:
+        # junk lines only, the last without a line end
+        path.write_bytes(b"\n".join(JUNK))
         return
     # the strongest address with a lone CR in its quad: accepting it would change the top count
     top = oracle_top_k(records, 1)[0][0]
@@ -125,6 +137,18 @@ def folder(tmp_path_factory):
     return tmp_path_factory.mktemp("contract")
 
 
+@pytest.fixture
+def shrunk(monkeypatch):
+    """Shrink the text chunk and slice to the given sizes, and batches to 5 records."""
+
+    def shrink(chunk_bytes: int, slice_bytes: int) -> None:
+        monkeypatch.setattr(model, "TEXT_CHUNK_BYTES", chunk_bytes)
+        monkeypatch.setattr(model, "TEXT_SLICE_BYTES", slice_bytes)
+        monkeypatch.setattr(model, "BATCH_RECORDS", 5)
+
+    return shrink
+
+
 @property_settings(6)
 @given(record_sets(), st.sampled_from([24, 64, 256]), st.sampled_from([8, 40, 128]), st.sampled_from([5, 64]))
 @example(_all_octets(), 256, 40, 64)
@@ -132,6 +156,8 @@ def folder(tmp_path_factory):
 @example(_address_ordered(), 256, 128, 64)
 # a single address, k past the distinct count
 @example((np.full(9, 0xFFFFFFFF, dtype=np.uint32), 3), 24, 8, 5)
+# no records: the junk file holds junk lines only
+@example((np.empty(0, dtype=np.uint32), 3), 24, 8, 5)
 def test_every_cell_renders_the_oracle_lines(folder, record_set, chunk_bytes, slice_bytes, batch_records):
     records, k = record_set
     octets = np.unique(records >> np.uint32(24)).size
@@ -148,3 +174,76 @@ def test_every_cell_renders_the_oracle_lines(folder, record_set, chunk_bytes, sl
             for method, workers in cells(octets, fmt):
                 entries, _ = query(source, method, k, workers)
                 assert as_lines(entries) == expected, (fmt, method, workers)
+
+
+BAD = b"1.2.3.256"
+
+
+def seams(data: bytes, chunk_bytes: int, slice_bytes: int) -> dict[str, int]:
+    """0-based lines of ``data`` where the text reader cuts its second chunk.
+
+    A chunk is ``chunk_bytes`` read at the front, then the rest of its last
+    line (the readline tail); a slice ends at the first LF that makes it
+    ``slice_bytes`` long or longer.
+    """
+    starts = [0] + [i + 1 for i, byte in enumerate(data) if byte == ord("\n")]
+    start = data.index(b"\n", chunk_bytes) + 1
+    offsets = {
+        "chunk start": start,
+        "later slice": data.index(b"\n", start + slice_bytes - 1) + 1,
+        "readline tail": start + chunk_bytes,
+        "last record": len(data) - 1,
+    }
+    return {name: bisect_right(starts, offset) - 1 for name, offset in offsets.items()}
+
+
+@pytest.mark.parametrize("eol", [b"\n", b"\r\n"], ids=["lf", "crlf"])
+@pytest.mark.parametrize("chunk_bytes, slice_bytes", [(24, 8), (64, 40), (256, 128)])
+def test_strict_errors_name_the_first_bad_line(folder, shrunk, eol, chunk_bytes, slice_bytes):
+    shrunk(chunk_bytes, slice_bytes)
+    rng = np.random.default_rng(chunk_bytes)
+    # 9-byte records, the length of BAD, so placing it moves no seam
+    lines = [f"{octet}.2.3.{part}".encode() for octet, part in zip(rng.integers(1, 5, 400), rng.integers(100, 256, 400))]
+    at = seams(eol.join(lines), chunk_bytes, slice_bytes)
+    assert len(set(at.values())) == 4 and at["chunk start"] < at["later slice"] < at["readline tail"], at
+    with pytest.raises(MalformedAddress) as parsed:
+        model.parse_dotted(BAD.decode())
+    message = str(parsed.value)
+    placements = [[line] for line in at.values()] + [
+        [at["chunk start"], at["last record"]],
+        [at["later slice"], at["later slice"] + 1],
+        [at["readline tail"], at["last record"]],
+    ]
+    path = folder / "strict.txt"
+    for bad in placements:
+        # the last record has no line end
+        path.write_bytes(eol.join(BAD if index in bad else line for index, line in enumerate(lines)))
+        for method, workers in cells(4, "text"):
+            with pytest.raises(MalformedAddress) as err:
+                query(FileSource(path), method, 3, workers)
+            cell = (bad, method, workers)
+            assert err.value.line_number == bad[0] + 1, cell
+            assert str(err.value) == f"line {bad[0] + 1}: {message}", cell
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_topk_on_an_empty_file_prints_nothing(tmp_path, capsys, method):
+    path = tmp_path / "empty.txt"
+    path.write_bytes(b"")
+    assert main(["topk", "--method", method, "--k", "3", "--input", str(path)]) == 0
+    assert capsys.readouterr() == ("", "")
+
+
+def test_binary_trailing_bytes_fail_strict_and_are_ignored_lenient(folder, shrunk):
+    shrunk(24, 8)
+    records = np.array([0x01020304] * 3 + [0x01020305] * 2 + [0x04000000] * 7, dtype=np.uint32)
+    path = folder / "trailing.bin"
+    write_binary(path, records)
+    with open(path, "ab") as handle:
+        handle.write(b"\x05\x06\x07\x08\x09")
+    expected = [f"{from_u32(address)}\t{count}" for address, count in oracle_top_k(records, 2)]
+    for method, workers in cells(2, "binary"):
+        with pytest.raises(BinaryFormatError, match="trailing bytes after the declared record count"):
+            query(FileSource(path), method, 2, workers)
+        entries, _ = query(FileSource(path, lenient=True), method, 2, workers)
+        assert as_lines(entries) == expected, (method, workers)

@@ -186,8 +186,10 @@ class TestGenerateAndVerify:
             # a tie with the larger address first, and a repeated line
             ("2.2.2.2\t5\n1.1.1.1\t5\n", 2),
             ("1.1.1.1\t5\n1.1.1.1\t5\n", 2),
+            # a line that is not UTF-8
+            (b"1.1.1.1\t5\n\xff\xfe\t3\n", 2),
         ]:
-            bad.write_text(text)
+            bad.write_bytes(text if isinstance(text, bytes) else text.encode())
             with pytest.raises(GroundTruthMismatch, match=rf"{re.escape(str(bad))}: .*line {line}\b"):
                 load_truth(bad)
 
