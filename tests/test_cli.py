@@ -8,7 +8,7 @@ import tempfile
 import numpy as np
 import pytest
 
-from ipstat import CountOverflow, TlmbCounter, bench
+from ipstat import CountOverflow, IpMapCounter, TlmbCounter, bench
 from ipstat.cli import main
 
 
@@ -137,14 +137,19 @@ class TestTopk:
                        "--workers", "257") == 1
         assert "at most 256" in capsys.readouterr().err
 
-    def test_resource_failure_exits_2(self, small_file, capsys, monkeypatch):
-        error = CountOverflow("an address count would exceed the 64-bit range")
-
+    @pytest.mark.parametrize(
+        "method, counter, error",
+        [
+            ("ipmap", IpMapCounter, CountOverflow("an address count would exceed the 64-bit range")),
+            ("tlmb", TlmbCounter, CountOverflow("an address count would exceed the 64-bit range")),
+        ],
+    )
+    def test_resource_failure_exits_2(self, small_file, capsys, monkeypatch, method, counter, error):
         def fail(self, batch):
             raise error
 
-        monkeypatch.setattr(TlmbCounter, "ingest_many", fail)
-        assert run_cli("topk", "--method", "tlmb", "--k", "1", "--input", str(small_file)) == 2
+        monkeypatch.setattr(counter, "ingest_many", fail)
+        assert run_cli("topk", "--method", method, "--k", "1", "--input", str(small_file)) == 2
         assert capsys.readouterr().err == f"ipstat: error: {error}\n"
 
     @pytest.mark.parametrize("method", ["tlmb", "ssmb", "ipmap"])
