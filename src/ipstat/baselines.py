@@ -67,25 +67,20 @@ class IpMapCounter:
         self._blocks: dict[int, np.ndarray] = {}
         self._records = 0
 
-    def _block(self, octet: int) -> np.ndarray:
-        block = self._blocks.get(octet)
-        if block is None:
-            # stored only once allocated: a MemoryError leaves no block behind
-            block = self._blocks[octet] = np.zeros(BLOCK_SLOTS, dtype=np.uint64)
-        return block
-
     def ingest_many(self, batch: np.ndarray) -> None:
         values, counts = aggregate(batch)
         if values.size == 0:
             return
-        parts = []
-        for octet, lo, hi in octet_runs(values):
-            slots = (values[lo:hi] & np.uint32(0xFFFFFF)).astype(np.int64)
-            parts.append((self._block(octet), slots, counts[lo:hi]))
-        # every slice is checked before any is written
-        sums = [checked_add(block[slots], part) for block, slots, part in parts]
-        for (block, slots, _), total in zip(parts, sums):
-            block[slots] = total
+        parts = [(octet, (values[lo:hi] & np.uint32(0xFFFFFF)).astype(np.int64), counts[lo:hi])
+                 for octet, lo, hi in octet_runs(values)]
+        # existing blocks' slices are checked before any block is made (a new block's slots are 0),
+        # and every new block is made before any is stored: a refused batch leaves no block behind
+        sums = [checked_add(self._blocks[octet][slots], part) if octet in self._blocks else part
+                for octet, slots, part in parts]
+        self._blocks.update({octet: np.zeros(BLOCK_SLOTS, dtype=np.uint64) for octet, _, _ in parts
+                             if octet not in self._blocks})
+        for (octet, slots, _), total in zip(parts, sums):
+            self._blocks[octet][slots] = total
         self._records += int(counts.sum())
 
     def count(self, address: IPv4Address) -> int:

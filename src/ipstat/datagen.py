@@ -32,6 +32,11 @@ from .model import from_u32, open_stream, parse_dotted, to_u32, write_binary
 ADDRESSES_PER_OCTET = 1 << 24
 _TEXT_CHUNK = 1 << 20
 _PAD = 0xFF
+# row v, one uint32: octet v's digits right-aligned in three cells after _PAD bytes, then an empty separator cell
+_OCTET_ROWS = np.frombuffer(
+    b"".join(str(v).encode().rjust(3, bytes([_PAD])) + bytes([_PAD]) for v in range(256)), dtype=np.uint32
+)
+_SEPARATORS = np.frombuffer(b"...\n", dtype=np.uint8)
 
 
 @dataclass(frozen=True)
@@ -151,23 +156,15 @@ def generate(spec: DatasetSpec, out_path) -> dict:
 def _format_text(batch: np.ndarray) -> bytes:
     """Render a uint32 batch as dotted-quad lines, no padding, LF endings.
 
-    Lays each record into a fixed 16-byte row (three right-aligned digit
-    cells plus separators), then drops the pad bytes to get the
+    Gathers each record's four octets, most significant first, from
+    ``_OCTET_ROWS`` into a 16-byte row, fills the separator cells with
+    three dots and an LF, then drops the pad bytes to get the
     variable-width text in one vector pass.
     """
-    n = batch.size
-    rows = np.full((n, 16), _PAD, dtype=np.uint8)
-    for j, shift in enumerate((24, 16, 8, 0)):
-        octet = ((batch >> np.uint32(shift)) & np.uint32(0xFF)).astype(np.int64)
-        base = 4 * j
-        rows[:, base + 2] = 0x30 + octet % 10
-        tens = octet >= 10
-        rows[tens, base + 1] = 0x30 + (octet[tens] // 10) % 10
-        hundreds = octet >= 100
-        rows[hundreds, base] = 0x30 + octet[hundreds] // 100
-        rows[:, base + 3] = 0x2E if j < 3 else 0x0A
-    flat = rows.reshape(-1)
-    return flat[flat != _PAD].tobytes()
+    octets = batch.astype(">u4").view(np.uint8).reshape(-1, 4)
+    rows = _OCTET_ROWS[octets].view(np.uint8)
+    rows.reshape(-1, 4, 4)[:, :, 3] = _SEPARATORS
+    return rows[rows != _PAD].tobytes()
 
 
 def write_truth(path, distinct: np.ndarray, counts: np.ndarray) -> None:

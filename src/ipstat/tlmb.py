@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import CountOverflow
 from .model import IPv4Address, aggregate, checked_add, to_u32
 from .topk import HeapEntry, TopKHeap, offer_nonzero
 
@@ -75,6 +76,7 @@ class TlmbCounter:
             raise ValueError("batch contains addresses outside this counter's first-octet range")
         handles = self._handles[local]
         fresh = handles == 0
+        allocated = self._allocated
         if fresh.any():
             # local is ascending, so the new prefixes are the starts of its fresh runs
             runs = local[fresh]
@@ -82,7 +84,13 @@ class TlmbCounter:
             handles = self._handles[local]
         slots = (handles - 1).astype(np.int64) * BLOCK_SLOTS + (values & np.uint32(0xFF))
         pool_flat = self._pool.reshape(-1)
-        pool_flat[slots] = checked_add(pool_flat[slots], counts)
+        try:
+            pool_flat[slots] = checked_add(pool_flat[slots], counts)
+        except CountOverflow:
+            # a refused batch gives back the blocks it allocated; they hold no count yet
+            self._handles[local[fresh]] = 0
+            self._allocated = allocated
+            raise
         self._records += int(counts.sum())
 
     def _allocate(self, fresh: np.ndarray) -> None:

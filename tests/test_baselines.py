@@ -93,6 +93,27 @@ class TestIpMapCounter:
         # no partial block is kept
         assert counter.stats()["allocated_blocks"] == 0
 
+    def test_allocation_failure_keeps_no_count_or_block(self, monkeypatch):
+        counter = IpMapCounter()
+        counter.ingest_many(addresses_of("1.2.3.4"))
+        before = counter.stats()
+        zeros = np.zeros
+        made = []
+
+        def second_block_fails(shape, *args, **kwargs):
+            if shape == 1 << 24 and made:
+                raise MemoryError
+            made.append(shape)
+            return zeros(shape, *args, **kwargs)
+
+        monkeypatch.setattr(baselines.np, "zeros", second_block_fails)
+        with pytest.raises(MemoryError):
+            counter.ingest_many(addresses_of("1.2.3.4", "2.0.0.1", "3.0.0.1"))
+        # neither the existing block's count nor the block made for 2.x is kept
+        assert counter.stats() == before
+        assert counter.count(parse_dotted("1.2.3.4")) == 1
+        assert counter.count(parse_dotted("2.0.0.1")) == 0
+
 
 class TestCrossMethodEquivalence:
     def test_all_four_methods_agree(self):

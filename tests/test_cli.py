@@ -247,11 +247,15 @@ class TestBench:
         )
         assert calls == [] and not csv_path.exists()
 
-    def test_unknown_method_exits_1(self, tmp_path):
-        with pytest.raises(SystemExit) as err:
-            run_cli("bench", "--input", "x", "--truth", "y", "--methods", "quantum",
-                    "--k", "1", "--reps", "1", "--csv", "z")
-        assert err.value.code == 1
+    def test_unknown_method_exits_1(self, tmp_path, capsys):
+        # neither file exists: the method is refused before either is read
+        csv_path = tmp_path / "z.csv"
+        assert run_cli("bench", "--input", str(tmp_path / "x"), "--truth", str(tmp_path / "y"),
+                       "--methods", "tlmb,quantum", "--k", "1", "--reps", "1", "--csv", str(csv_path)) == 1
+        assert capsys.readouterr().err == (
+            f"ipstat: error: unknown method 'quantum'; choose from {', '.join(bench.METHODS)}\n"
+        )
+        assert not csv_path.exists()
 
     def test_negative_warmup_exits_1(self, capsys):
         with pytest.raises(SystemExit) as err:

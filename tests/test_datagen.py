@@ -17,7 +17,7 @@ from ipstat import (
     open_stream,
     verify,
 )
-from ipstat.datagen import write_truth
+from ipstat.datagen import _format_text, write_truth
 
 
 class TestSpecValidation:
@@ -113,6 +113,14 @@ class TestGenerateAndVerify:
         values = read_all(stream)
         assert values.size == 20_000
         assert np.unique(values).size == 400
+
+    def test_text_lines_match_from_u32(self):
+        # each position runs through a permutation of 0-255, so every octet value lands in every position
+        octets = np.arange(256, dtype=np.uint32)
+        values = (octets << 24) | ((255 - octets) << 16) | (((octets + 85) % 256) << 8) | (octets * 3 % 256)
+        values = np.concatenate([values, np.array([0, 0xFFFFFFFF], dtype=np.uint32)])
+        assert _format_text(values) == "".join(f"{from_u32(v)}\n" for v in values.tolist()).encode()
+        assert _format_text(values[:0]) == b""
 
     def test_same_seed_same_bytes(self, tmp_path):
         spec = DatasetSpec(records=5000, distinct=100, seed=77)

@@ -152,25 +152,32 @@ class TestOverflow:
         counter = TlmbCounter()
         counter.ingest_many(np.array([0x01020304], dtype=np.uint32))
         counter._pool[0, 0x04] = self.TOP
-        batch = np.array([0x01020305, 0x01020304, 0x01020304], dtype=np.uint32)
+        before = counter.stats()
+        # 1.2.4.0/24 is a new prefix: its block must be given back too
+        batch = np.array([0x01020305, 0x01020304, 0x01020304, 0x01020401], dtype=np.uint32)
         with pytest.raises(CountOverflow):
             counter.ingest_many(batch)
+        assert counter.stats() == before
         assert counter.count(from_u32(0x01020304)) == self.TOP
         assert counter.count(from_u32(0x01020305)) == 0
-        assert counter.stats()["records_ingested"] == 1
+        assert counter.count(from_u32(0x01020401)) == 0
         counter.ingest_many(batch[:2])
         assert counter.count(from_u32(0x01020304)) == 2**64 - 1
+        counter.ingest_many(batch[3:])
+        assert counter.count(from_u32(0x01020401)) == 1
+        assert counter.stats()["allocated_second_blocks"] == 2
 
     def test_ipmap_batch_raises_and_writes_nothing(self):
         counter = IpMapCounter()
         counter.ingest_many(np.array([0xFF000001], dtype=np.uint32))
         counter._blocks[0xFF][1] = self.TOP
-        # the low octet's slice comes first and must not be written either
+        before = counter.stats()
+        # the low octet is new and its slice comes first: no block may be made for it
         batch = np.array([0x01000001, 0xFF000001, 0xFF000001], dtype=np.uint32)
         with pytest.raises(CountOverflow):
             counter.ingest_many(batch)
+        assert counter.stats() == before
         assert counter.count(from_u32(0xFF000001)) == self.TOP
         assert counter.count(from_u32(0x01000001)) == 0
-        assert counter.stats()["records_ingested"] == 1
         counter.ingest_many(batch[:2])
         assert counter.count(from_u32(0xFF000001)) == 2**64 - 1
