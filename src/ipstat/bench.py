@@ -76,9 +76,9 @@ def query(source, method: str, k: int, workers: int = 1) -> tuple[list[HeapEntry
     """One complete top-k query over a record source; returns (entries, stats).
 
     Every method opens ``source`` once. ssmb reads it into a spill and runs
-    its subset passes over that; with ``workers > 1`` it still runs them
-    over one block, swept on that many threads (at most 256), so its stats
-    are one counter's for every W: one block of ``tracked_bytes``,
+    its subset passes over one block; with ``workers > 1`` it aggregates,
+    scatters and sweeps on that many threads (at most 256 ranges), so its
+    stats are one counter's for every W: one block of ``tracked_bytes``,
     ``passes`` == q, one ``spill_bytes``, and ``workers``, the sweep ranges.
     tlmb with ``workers > 1`` is partitioned; its stats carry every key of
     the serial stats, each the sum of the workers', plus ``workers``.

@@ -88,7 +88,8 @@ def build_parser() -> argparse.ArgumentParser:
     topk.add_argument("--method", choices=METHODS, required=True)
     topk.add_argument("--k", type=_positive_int, required=True)
     topk.add_argument("--input", required=True, help="record file (text or binary)")
-    topk.add_argument("--workers", type=_positive_int, default=1, help="in-process threads (tlmb takes 1-256)")
+    workers_help = "in-process threads: tlmb takes 1-256, ssmb any number (at most 256 sweep ranges), hash and ipmap 1"
+    topk.add_argument("--workers", type=_positive_int, default=1, help=workers_help)
     topk.add_argument("--format", choices=("auto", "text", "binary"), default="auto",
                       help="input format (default: sniff)")
     topk.set_defaults(func=_cmd_topk)
@@ -102,7 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma-separated k values, e.g. 10,100")
     bench.add_argument("--reps", type=_positive_int, required=True, help="timed repetitions per cell")
     bench.add_argument("--csv", required=True, help="output CSV path")
-    bench.add_argument("--workers", type=_positive_int, default=1)
+    bench.add_argument("--workers", type=_positive_int, default=1, help=workers_help)
     bench.add_argument("--warmup", type=_non_negative_int, default=0,
                        help="untimed runs per cell before the timed repetitions")
     bench.set_defaults(func=_cmd_bench)

@@ -6,28 +6,32 @@ reused for every subset.
 
 The input is decoded once, into a spill (``OctetSpill``):
 ``spilled(source)`` aggregates each batch (``model.aggregate``), appends
-its runs, and closes the spill on exit. The spill cuts a batch's ascending
-distinct addresses at first-octet boundaries and appends each slice as
-(low-24 slot, count) runs to one unlinked temporary file, with an
-in-memory index of every first octet's runs. The first octets present
-fall out of this pass, so no separate discovery pass is needed. Each
-subset pass then reads back only its own octet's runs, adds them at slot
-b*65536 + c*256 + d (the low 24 bits of the address), and sweeps the
-block (``offer_block``, ipmap's sweep too): one read of the block names
-its live (non-zero) 512-slot tiles, and only those are scanned and then
-re-zeroed, so the next pass starts from an all-zero block.
+its runs, and closes the spill on exit; ``spilled(source, pool)`` runs up
+to one aggregate per pool thread while the reading thread decodes the next
+batch, and appends their runs in file order, so the spill is the same. The
+spill cuts a batch's ascending distinct addresses at first-octet
+boundaries and appends each slice as (low-24 slot, count) runs to one
+unlinked temporary file, with an in-memory index of every first octet's
+runs. The first octets present fall out of this pass, so no separate
+discovery pass is needed. Each subset pass then reads back only its own
+octet's runs, adds them at slot b*65536 + c*256 + d (the low 24 bits of
+the address), and sweeps the block (``offer_block``, ipmap's sweep too):
+one read of the block names its live (non-zero) 512-slot tiles, and only
+those are scanned and then re-zeroed, so the next pass starts from an
+all-zero block.
 
-The calling thread scatters each pass's runs (about one entry per distinct
-address); then W threads (``workers=W``) each sweep and re-zero one
-contiguous, tile-aligned slot range of the block (``sweep_ranges``) into
-their own top-k heap, kept across every pass and merged once at the end.
-Each address lies in exactly one (subset, range) pair, so the result is
-the global top-k for every W, while tracked memory stays a flat
-134,217,728 bytes, whatever the records, distinct addresses or W. The
-spill is on disk (``tempfile.TemporaryFile``, so it honours TMPDIR); its
-size is reported as ``spill_bytes`` and is never part of
-``tracked_bytes``. The trade is passes for memory: one pass per distinct
-first octet present, each over its own runs and one read of the block.
+W threads (``workers=W``) each own one contiguous, tile-aligned slot range
+of the block (``sweep_ranges``) for every pass: each scatters the pass's
+runs that fall in its range (about one entry per distinct address), then
+sweeps and re-zeroes the range into its own top-k heap, kept across every
+pass and merged once at the end. Each address lies in exactly one (subset,
+range) pair, so the result is the global top-k for every W, while tracked
+memory stays a flat 134,217,728 bytes, whatever the records, distinct
+addresses or W. The spill is on disk (``tempfile.TemporaryFile``, so it
+honours TMPDIR); its size is reported as ``spill_bytes`` and is never part
+of ``tracked_bytes``. The trade is passes for memory: one pass per
+distinct first octet present, each over its own runs and one read of the
+block.
 """
 
 from __future__ import annotations
@@ -35,8 +39,9 @@ from __future__ import annotations
 import errno
 import os
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor, wait
+from contextlib import contextmanager, nullcontext
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -114,16 +119,26 @@ class OctetSpill:
 
 
 @contextmanager
-def spilled(source) -> Iterator[OctetSpill]:
-    """A spill of one pass of ``source``, closed on exit."""
+def spilled(source, pool: ThreadPoolExecutor | None = None) -> Iterator[OctetSpill]:
+    """A spill of one pass of ``source``, closed on exit; ``pool`` aggregates up to one batch a thread ahead."""
     spill = OctetSpill()
+    pending: deque = deque()
     try:
         for batch in source.open().batches():
-            spill.append(*aggregate(batch))
+            if pool is None:
+                spill.append(*aggregate(batch))
+                continue
+            pending.append(pool.submit(aggregate, batch))
+            if len(pending) > pool._max_workers:
+                spill.append(*pending.popleft().result())
+        while pending:
+            spill.append(*pending.popleft().result())
         batch = None  # this frame outlives every pass: let the last batch go
         spill._file.flush()
         yield spill
     finally:
+        for future in pending:
+            future.cancel()
         spill._file.close()
 
 
@@ -160,9 +175,11 @@ class SsmbCounter:
 
     The block is allocated lazily on the first query and reused across
     passes and across queries, so a counter's tracked footprint is one
-    block, always, for any ``workers``: that many threads sweep disjoint
-    slot ranges of it in each pass. A pass that raises, in any thread,
-    drops the block, so no count it left behind reaches the next query.
+    block, always, for any ``workers``: that many threads scatter into and
+    sweep disjoint slot ranges of it in each pass and, when there are two
+    or more, aggregate the input ahead of the reading thread. A pass that
+    raises, in any thread, drops the block, so no count it left behind
+    reaches the next query.
     """
 
     def __init__(self, workers: int = 1):
@@ -193,8 +210,9 @@ class SsmbCounter:
         if octets is not None:
             octets = first_octets(octets)
         heaps = [TopKHeap(k) for _ in self._ranges]
-        # the pool joins its threads before the spill closes; one range needs none
-        with spilled(source) as spill, ThreadPoolExecutor(max(len(heaps) - 1, 1)) as pool:
+        # one range starts no thread: the spill aggregates inline and the pass runs here
+        threads = ThreadPoolExecutor(len(heaps)) if len(heaps) > 1 else nullcontext()
+        with threads as pool, spilled(source, pool) as spill:
             if octets is None:
                 octets = spill.octets
             self._q = len(octets)
@@ -214,23 +232,33 @@ class SsmbCounter:
             self._block = np.zeros(BLOCK_SLOTS, dtype=np.uint64)
         block = self._block
 
-        def sweep(heap: TopKHeap, lo: int, hi: int) -> int:
+        def scan(heap: TopKHeap, lo: int, hi: int) -> tuple[int, int]:
+            # scatter the pass's runs in [lo, hi), then sweep and re-zero it: (records, slot sum)
+            records = 0
+            for slots, counts in spill.runs(octet):
+                slots = slots.astype(np.int64)
+                cut = slice(*np.searchsorted(slots, (lo, hi)))  # a segment's slots ascend
+                slots, counts = slots[cut], counts[cut]
+                block[slots] = checked_add(block[slots], counts)
+                records += int(counts.sum())
             part = block[lo:hi]
             slot_sum, live = offer_block(heap, part, octet, lo)
             part.reshape(-1, TILE_SLOTS)[live] = 0
-            return slot_sum
+            return records, slot_sum
 
-        pass_records = 0
+        futures = []
         try:
-            for slots, counts in spill.runs(octet):
-                slots = slots.astype(np.int64)
-                block[slots] = checked_add(block[slots], counts)
-                pass_records += int(counts.sum())
-            futures = [pool.submit(sweep, heap, *bounds) for heap, bounds in zip(heaps[1:], self._ranges[1:])]
-            slot_sum = sweep(heaps[0], *self._ranges[0]) + sum(future.result() for future in futures)
+            try:
+                for heap, bounds in zip(heaps[1:], self._ranges[1:]):
+                    futures.append(pool.submit(scan, heap, *bounds))
+                scanned = [scan(heaps[0], *self._ranges[0])]
+            finally:
+                wait(futures)  # no thread reads the spill or the block once this pass is over
+            scanned += [future.result() for future in futures]
         except BaseException:
             self._block = None
             raise
+        pass_records, slot_sum = (sum(column) for column in zip(*scanned))
         self._records += pass_records
         self._passes += 1
         return pass_records, slot_sum

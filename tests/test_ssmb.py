@@ -4,7 +4,9 @@ import os
 import sys
 import tempfile
 import threading
+import time
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
 import numpy as np
@@ -32,6 +34,7 @@ from ipstat import (
     to_u32,
 )
 from ipstat import ssmb
+from ipstat.model import aggregate
 from ipstat.ssmb import GROUP_TILES, RUN, TILE_SLOTS, OctetSpill, spilled, sweep_ranges
 
 BLOCK_BYTES = 134_217_728
@@ -351,7 +354,45 @@ class TestSpill:
         with spilled(ArraySource(values)) as spill:
             assert counter.stats()["spill_bytes"] == spill.spill_bytes > 0
 
+    def test_spill_is_the_same_for_every_thread_timing(self, monkeypatch):
+        # the pool's aggregates finish in any order; the runs are appended in file order
+        rng = np.random.default_rng(410)
+        values = random_addresses(rng, 3000, first_octet_cap=5)
+        monkeypatch.setattr(ipstat.model, "BATCH_RECORDS", 61)
+
+        def spill_of(pool=None):
+            with spilled(ArraySource(values), pool) as spill:
+                segments = {o: [(s.tolist(), c.tolist()) for s, c in spill.runs(o)] for o in spill.octets}
+                return spill.spill_bytes, spill.octets, segments, os.pread(spill._file.fileno(), spill.spill_bytes, 0)
+
+        serial = spill_of()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for threads in (2, 3):
+                with ThreadPoolExecutor(threads) as pool:
+                    assert spill_of(pool) == serial
+        finally:
+            sys.setswitchinterval(interval)
+        assert serial[0] > 0 and serial[1] == [0, 1, 2, 3, 4]
+
+    def test_serial_query_starts_no_thread(self):
+        threads = threading.active_count()
+        seen = []
+        values = addresses_of("1.0.0.1", "1.0.0.1", "7.0.0.2")
+        SsmbCounter().top_k(ArraySource(values), 2, pass_hook=lambda o, stats: seen.append(threading.active_count()))
+        assert seen == [threads, threads]
+
     def test_malformed_later_chunk_closes_spill(self, tmp_path, monkeypatch):
+        self.check_malformed_later_chunk(tmp_path, monkeypatch, workers=1)
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_malformed_later_chunk_with_aggregates_in_flight(self, tmp_path, monkeypatch, workers):
+        self.check_malformed_later_chunk(tmp_path, monkeypatch, workers)
+
+    @staticmethod
+    def check_malformed_later_chunk(tmp_path, monkeypatch, workers):
+        """The first bad line is named, the spill is closed and every thread joined."""
         data = tmp_path / "bad.txt"
         data.write_text("1.0.0.1\n2.0.0.2\n" * 50 + "3.0.0.x\n")
         spill_dir = tmp_path / "spill"
@@ -370,11 +411,24 @@ class TestSpill:
         append = OctetSpill.append
         monkeypatch.setattr(tempfile, "TemporaryFile", spy)
         monkeypatch.setattr(OctetSpill, "append", lambda self, *runs: appended.append(append(self, *runs)))
+        aggregated = []
+
+        def slow_aggregate(batch):
+            if threading.current_thread() is not threading.main_thread():
+                time.sleep(0.005)  # still running when the reader meets the bad line
+            aggregated.append(batch.size)
+            return aggregate(batch)
+
+        monkeypatch.setattr(ssmb, "aggregate", slow_aggregate)
+        threads = threading.active_count()
         with pytest.raises(MalformedAddress, match="line 101"):
-            SsmbCounter().top_k(FileSource(data), 5)
+            SsmbCounter(workers).top_k(FileSource(data), 5)
         assert len(appended) > 1  # earlier chunks were spilled before the bad one
+        # one batch per pool thread was aggregated ahead and never appended
+        assert len(aggregated) - len(appended) == (workers if workers > 1 else 0)
         assert [(where, handle.closed) for where, handle in opened] == [(str(spill_dir), True)]
         assert os.listdir(spill_dir) == []
+        assert threading.active_count() == threads
 
 
 class TestOneBlockSweep:
@@ -408,6 +462,24 @@ class TestOneBlockSweep:
                 # octet 0 passes and fills the block's last range; octet 1's scatter overflows
                 counter.top_k(ArraySource(addresses_of("0.255.255.255", *["1.0.0.1"] * 4)), 1)
         assert counter._block is None and threading.active_count() == threads
+        # the last range's thread scatters its own slots, and its overflow drops the block too
+        checked_add = ssmb.checked_add
+        raised_on = []
+
+        def spy_checked_add(current, counts):
+            try:
+                return checked_add(current, counts)
+            except CountOverflow:
+                raised_on.append(threading.current_thread())
+                raise
+
+        monkeypatch.setattr(ssmb, "checked_add", spy_checked_add)
+        with mock.patch.object(ipstat.model, "_MAX_COUNT", np.uint64(3)):
+            with pytest.raises(CountOverflow):
+                counter.top_k(ArraySource(addresses_of("0.0.0.0", *["1.255.255.255"] * 4)), 1)
+        assert len(raised_on) == 1 and raised_on[0] is not threading.main_thread()
+        assert counter._block is None and threading.active_count() == threads
+        monkeypatch.setattr(ssmb, "checked_add", checked_add)
         # a sweep thread that raises drops the block too
         offer_block = ssmb.offer_block
 
