@@ -175,6 +175,29 @@ def aggregate(batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ordered[starts], np.diff(starts, append=ordered.size).astype(np.uint64)
 
 
+def runs(source, pool=None, ahead: int = 0) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Each batch of one pass over ``source`` as its ``aggregate``, in file order.
+
+    A ``pool`` aggregates up to ``ahead`` more while the caller uses one;
+    without one, no thread starts. Closing cancels the aggregates still
+    queued and drops the stream, so a file closes at once.
+    """
+    pending = []
+    try:
+        for batch in source.open().batches():
+            if pool is None:
+                yield aggregate(batch)
+                continue
+            pending.append(pool.submit(aggregate, batch))
+            if len(pending) > ahead:
+                yield pending.pop(0).result()
+        while pending:
+            yield pending.pop(0).result()
+    finally:
+        for future in pending:
+            future.cancel()
+
+
 def octet_runs(values: np.ndarray) -> list[tuple[int, int, int]]:
     """(first octet, start, stop) of each first-octet run of a non-empty ascending uint32 array."""
     highs = values >> np.uint32(24)

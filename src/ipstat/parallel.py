@@ -11,12 +11,13 @@ cover every octet once, so later batches are counted exactly wherever they
 fall; the split is even when the first batch's first-octet mix is the
 stream's. Each worker owns at least one octet, so W runs from 1 to 256.
 ``by_prefix_bits`` keeps the even cut by leading address bits.
-The input is read once; each batch is reduced to its ascending distinct
-addresses and their counts, and since ownership is monotone in the
-address, one cut at the owners' start addresses hands every worker its own
-slice of those runs. The reading thread decodes and aggregates the next
-batch while the workers count this one, and waits for them before it hands
-out the next.
+The input is read once, through ``model.runs``: each batch is reduced to
+its ascending distinct addresses and their counts on the pool, up to W
+batches ahead of the reading thread, which only decodes. Since ownership
+is monotone in the address, one cut at the owners' start addresses hands
+every worker its own slice of those runs. The reading thread decodes the
+next batch while the workers count this one, and waits for them before it
+hands out the next.
 
 ssmb runs no plan: ``SsmbCounter(workers=W)`` sweeps its one block on W
 threads. ``by_first_octets`` still deals first octets round-robin.
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidPlan
-from .model import aggregate
+from .model import runs
 from .ssmb import first_octets
 from .tlmb import TlmbCounter
 from .topk import HeapEntry, merge_top_k
@@ -129,12 +130,11 @@ def run_parallel(source, plan: PartitionPlan, k: int) -> tuple[list[HeapEntry], 
     """Run one partitioned tlmb top-k; returns (merged entries, worker results)."""
     if plan.method != "tlmb":
         raise InvalidPlan("only tlmb plans run partitioned; ssmb sweeps one block with SsmbCounter(workers=W)")
-    # closing the runs drops the stream, so a failed query closes a file
-    # source at once, without the cyclic collector; the pool has joined its
-    # workers by then
-    runs = (aggregate(batch) for batch in source.open().batches())
-    with closing(runs), ThreadPoolExecutor(max_workers=plan.workers) as pool:
-        values, counts = next(runs, _NO_RUNS)
+    # the runs close before the pool joins: they cancel the aggregates still
+    # queued and drop the stream, so a failed query closes a file source at
+    # once, without the cyclic collector
+    with ThreadPoolExecutor(max_workers=plan.workers) as pool, closing(runs(source, pool, plan.workers)) as batches:
+        values, counts = next(batches, _NO_RUNS)
         if not plan.octets:
             plan = PartitionPlan.by_value_share(values, plan.workers)
         owned = (plan.worker_octets(w) for w in range(plan.workers))
@@ -147,7 +147,7 @@ def run_parallel(source, plan: PartitionPlan, k: int) -> tuple[list[HeapEntry], 
                 if hi > lo
             ]
             # read ahead while the workers count; no counter takes two batches at once
-            values, counts = next(runs, _NO_RUNS)
+            values, counts = next(batches, _NO_RUNS)
             for future in futures:
                 future.result()
         tops = [pool.submit(counter.top_k, k) for counter in counters]

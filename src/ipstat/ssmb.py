@@ -5,11 +5,10 @@ The address space is split into subsets by first octet. One count block of
 reused for every subset.
 
 The input is decoded once, into a spill (``OctetSpill``):
-``spilled(source)`` aggregates each batch (``model.aggregate``), appends
-its runs, and closes the spill on exit; ``spilled(source, pool)`` runs up
-to one aggregate per pool thread while the reading thread decodes the next
-batch, and appends their runs in file order, so the spill is the same. The
-spill cuts a batch's ascending distinct addresses at first-octet
+``spilled(source, pool, ahead)`` appends the runs that the shared front
+end ``model.runs`` yields, in file order whether they were aggregated
+inline or on the pool, so the spill is the same; it closes the spill on
+exit. The spill cuts a batch's ascending distinct addresses at first-octet
 boundaries and appends each slice as (low-24 slot, count) runs to one
 unlinked temporary file, with an in-memory index of every first octet's
 runs. The first octets present fall out of this pass, so no separate
@@ -21,17 +20,18 @@ those are scanned and then re-zeroed, so the next pass starts from an
 all-zero block.
 
 W threads (``workers=W``) each own one contiguous, tile-aligned slot range
-of the block (``sweep_ranges``) for every pass: each scatters the pass's
-runs that fall in its range (about one entry per distinct address), then
-sweeps and re-zeroes the range into its own top-k heap, kept across every
-pass and merged once at the end. Each address lies in exactly one (subset,
-range) pair, so the result is the global top-k for every W, while tracked
-memory stays a flat 134,217,728 bytes, whatever the records, distinct
-addresses or W. The spill is on disk (``tempfile.TemporaryFile``, so it
-honours TMPDIR); its size is reported as ``spill_bytes`` and is never part
-of ``tracked_bytes``. The trade is passes for memory: one pass per
-distinct first octet present, each over its own runs and one read of the
-block.
+of the block (``sweep_ranges``) for every pass. The calling thread reads
+each of the pass's spilled segments once and cuts it at every range edge;
+each thread scatters its own slice (about one entry per distinct address),
+and after the last segment sweeps and re-zeroes its range into its own
+top-k heap, kept across every pass and merged once at the end. Each
+address lies in exactly one (subset, range) pair, so the result is the
+global top-k for every W, while tracked memory stays a flat 134,217,728
+bytes, whatever the records, distinct addresses or W. The spill is on disk
+(``tempfile.TemporaryFile``, so it honours TMPDIR); its size is reported
+as ``spill_bytes`` and is never part of ``tracked_bytes``. The trade is
+passes for memory: one pass per distinct first octet present, each over
+its own runs and one read of the block.
 """
 
 from __future__ import annotations
@@ -39,15 +39,14 @@ from __future__ import annotations
 import errno
 import os
 import tempfile
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor, wait
-from contextlib import contextmanager, nullcontext
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing, contextmanager, nullcontext
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
 from .errors import InvalidPlan
-from .model import aggregate, checked_add, octet_runs
+from .model import checked_add, octet_runs, runs
 from .topk import HeapEntry, TopKHeap, merge_top_k, offer_nonzero
 
 BLOCK_SLOTS = 1 << 24
@@ -108,37 +107,28 @@ class OctetSpill:
         return sorted(self._index)
 
     def runs(self, octet: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """(slots, counts) of each of ``octet``'s segments; slots are unique within one."""
+        """(int64 slots, counts) of each of ``octet``'s segments; slots ascend within one."""
         fd = self._file.fileno()
         for offset, length in self._index.get(octet, ()):
             data = os.pread(fd, length * RUN.itemsize, offset)
             if len(data) != length * RUN.itemsize:
                 raise OSError(errno.EIO, "short read from the ssmb spill file")
             segment = np.frombuffer(data, dtype=RUN)
-            yield segment["slot"], segment["count"]
+            yield segment["slot"].astype(np.int64), segment["count"]
 
 
 @contextmanager
-def spilled(source, pool: ThreadPoolExecutor | None = None) -> Iterator[OctetSpill]:
-    """A spill of one pass of ``source``, closed on exit; ``pool`` aggregates up to one batch a thread ahead."""
+def spilled(source, pool: ThreadPoolExecutor | None = None, ahead: int = 0) -> Iterator[OctetSpill]:
+    """A spill of one pass of ``source``, closed on exit; its runs come from ``model.runs(source, pool, ahead)``."""
     spill = OctetSpill()
-    pending: deque = deque()
     try:
-        for batch in source.open().batches():
-            if pool is None:
-                spill.append(*aggregate(batch))
-                continue
-            pending.append(pool.submit(aggregate, batch))
-            if len(pending) > pool._max_workers:
-                spill.append(*pending.popleft().result())
-        while pending:
-            spill.append(*pending.popleft().result())
-        batch = None  # this frame outlives every pass: let the last batch go
+        with closing(runs(source, pool, ahead)) as batches:
+            for run in batches:
+                spill.append(*run)
+        run = None  # this frame outlives every pass: let the last batch's runs go
         spill._file.flush()
         yield spill
     finally:
-        for future in pending:
-            future.cancel()
         spill._file.close()
 
 
@@ -212,7 +202,7 @@ class SsmbCounter:
         heaps = [TopKHeap(k) for _ in self._ranges]
         # one range starts no thread: the spill aggregates inline and the pass runs here
         threads = ThreadPoolExecutor(len(heaps)) if len(heaps) > 1 else nullcontext()
-        with threads as pool, spilled(source, pool) as spill:
+        with threads as pool, spilled(source, pool, len(heaps)) as spill:
             if octets is None:
                 octets = spill.octets
             self._q = len(octets)
@@ -231,34 +221,30 @@ class SsmbCounter:
         if self._block is None:
             self._block = np.zeros(BLOCK_SLOTS, dtype=np.uint64)
         block = self._block
+        # one task a range; a failed task's siblings touch only the dropped block, and the pool joins them
+        each_range = pool.map if pool else map
+        edges = [lo for lo, _ in self._ranges[1:]]
 
-        def scan(heap: TopKHeap, lo: int, hi: int) -> tuple[int, int]:
-            # scatter the pass's runs in [lo, hi), then sweep and re-zero it: (records, slot sum)
-            records = 0
-            for slots, counts in spill.runs(octet):
-                slots = slots.astype(np.int64)
-                cut = slice(*np.searchsorted(slots, (lo, hi)))  # a segment's slots ascend
-                slots, counts = slots[cut], counts[cut]
-                block[slots] = checked_add(block[slots], counts)
-                records += int(counts.sum())
+        def scatter(slots: np.ndarray, counts: np.ndarray) -> None:
+            block[slots] = checked_add(block[slots], counts)
+
+        def sweep(heap: TopKHeap, lo: int, hi: int) -> int:
             part = block[lo:hi]
             slot_sum, live = offer_block(heap, part, octet, lo)
             part.reshape(-1, TILE_SLOTS)[live] = 0
-            return records, slot_sum
+            return slot_sum
 
-        futures = []
+        pass_records = 0
         try:
-            try:
-                for heap, bounds in zip(heaps[1:], self._ranges[1:]):
-                    futures.append(pool.submit(scan, heap, *bounds))
-                scanned = [scan(heaps[0], *self._ranges[0])]
-            finally:
-                wait(futures)  # no thread reads the spill or the block once this pass is over
-            scanned += [future.result() for future in futures]
+            for slots, counts in spill.runs(octet):
+                # read and cut once here: a segment's slots ascend, so each range gets one slice
+                cuts = np.searchsorted(slots, edges)
+                list(each_range(scatter, np.split(slots, cuts), np.split(counts, cuts)))
+                pass_records += int(counts.sum())
+            slot_sum = sum(each_range(sweep, heaps, *zip(*self._ranges)))
         except BaseException:
             self._block = None
             raise
-        pass_records, slot_sum = (sum(column) for column in zip(*scanned))
         self._records += pass_records
         self._passes += 1
         return pass_records, slot_sum
@@ -272,3 +258,4 @@ class SsmbCounter:
             "spill_bytes": self._spill_bytes,
             "workers": len(self._ranges),
         }
+

@@ -8,13 +8,15 @@ Anything the library returns must match it exactly.
 
 from __future__ import annotations
 
+import threading
+import time
 from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
-from ipstat import to_u32
+from ipstat import model, to_u32
 
 _ACCEPTANCE_LINES: list[str] = []
 
@@ -32,6 +34,35 @@ def oracle_counts(addresses) -> Counter:
     if isinstance(addresses, np.ndarray):
         addresses = addresses.tolist()
     return Counter(int(a) for a in addresses)
+
+
+def aggregates_in_flight(monkeypatch, earlier: int) -> list[int]:
+    """Slow every aggregate run on a pool thread; parse a slice holding "x" once ``earlier`` aggregates have started.
+
+    Give it the number of batches before the bad chunk: when the reader
+    raises there, the batches it aggregated ahead are still running and
+    none is queued, so none is cancelled. Returns the sizes of the
+    aggregates that finished.
+    """
+    started, finished = [], []
+    aggregate, parse_lines = model.aggregate, model._parse_lines
+
+    def slow_aggregate(batch):
+        started.append(batch.size)
+        if threading.current_thread() is not threading.main_thread():
+            time.sleep(0.005)  # still running when the reader meets the bad line
+        finished.append(batch.size)
+        return aggregate(batch)
+
+    def waiting_parse_lines(block, line_base, lenient):
+        deadline = time.monotonic() + 10
+        while b"x" in bytes(block) and len(started) < earlier and time.monotonic() < deadline:
+            time.sleep(0.001)
+        return parse_lines(block, line_base, lenient)
+
+    monkeypatch.setattr(model, "aggregate", slow_aggregate)
+    monkeypatch.setattr(model, "_parse_lines", waiting_parse_lines)
+    return finished
 
 
 def as_pairs(entries) -> list[tuple[int, int]]:

@@ -1,5 +1,8 @@
 """Addresses, text/binary record files, and stream sources."""
 
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from unittest import mock
 
@@ -518,3 +521,61 @@ class TestSources:
         read_all(source.open())
         with pytest.raises(RuntimeError, match="already been consumed"):
             source.open()
+
+
+class TestRunsFrontEnd:
+    """``model.runs``: each batch's aggregate in file order, inline or read ahead on a pool."""
+
+    def test_pools_yield_the_inline_sequence(self, monkeypatch):
+        rng = np.random.default_rng(411)
+        values = random_addresses(rng, 200, first_octet_cap=5)[rng.integers(0, 200, 3000)]
+        monkeypatch.setattr(model, "BATCH_RECORDS", 61)
+
+        def sequence(*pool_ahead):
+            return [(v.tolist(), c.tolist()) for v, c in model.runs(ArraySource(values), *pool_ahead)]
+
+        inline = sequence()
+        batches = [values[i : i + 61] for i in range(0, values.size, 61)]
+        assert inline == [tuple(part.tolist() for part in model.aggregate(batch)) for batch in batches]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # the pool's aggregates finish in any order
+        try:
+            for threads in (2, 3):
+                with ThreadPoolExecutor(threads) as pool:
+                    assert sequence(pool, threads) == inline
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_closing_cancels_the_queued_aggregates_and_closes_the_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "r.bin"
+        write_binary(path, np.arange(40, dtype=np.uint32))
+        monkeypatch.setattr(model, "BATCH_RECORDS", 4)
+        handles = []
+        monkeypatch.setattr(model, "open", lambda *args: handles.append(open(*args)) or handles[-1], raising=False)
+        gate = threading.Event()
+        aggregate = model.aggregate
+
+        def gated_aggregate(batch):
+            if batch[0]:  # every batch after the first waits for the gate
+                gate.wait(10)
+            return aggregate(batch)
+
+        monkeypatch.setattr(model, "aggregate", gated_aggregate)
+        futures = []
+        with ThreadPoolExecutor(1) as pool:
+            submit = pool.submit
+            pool.submit = lambda *call: futures.append(submit(*call)) or futures[-1]
+            batches = model.runs(FileSource(path), pool, 3)
+            assert next(batches)[0].tolist() == [0, 1, 2, 3]
+            batches.close()
+            assert [handle.closed for handle in handles] == [True]
+            # the one thread holds the second batch's aggregate, or it was cancelled; the two behind it were
+            assert len(futures) == 4 and futures[0].done() and futures[2].cancelled() and futures[3].cancelled()
+            gate.set()
+        assert all(future.done() for future in futures)
+
+    def test_inline_runs_start_no_thread(self, monkeypatch):
+        monkeypatch.setattr(model, "BATCH_RECORDS", 2)
+        threads = threading.active_count()
+        seen = [threading.active_count() for _ in model.runs(ArraySource(np.arange(5, dtype=np.uint32)))]
+        assert seen == [threads] * 3

@@ -9,11 +9,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import CountingSource, as_pairs, oracle_top_k, property_settings, random_addresses
+from conftest import CountingSource, aggregates_in_flight, as_pairs, oracle_top_k, property_settings, random_addresses
 from ipstat import (
     ArraySource,
     CountOverflow,
+    FileSource,
     InvalidPlan,
+    MalformedAddress,
     PartitionPlan,
     TlmbCounter,
     TopKHeap,
@@ -308,6 +310,34 @@ class TestReaderAhead:
             sys.setswitchinterval(interval)
         assert as_pairs(entries) == oracle_top_k(values, 20)
         assert stats["records_ingested"] == values.size and not overlaps
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_malformed_later_chunk_with_aggregates_in_flight(self, tmp_path, monkeypatch, workers):
+        """The first bad line is named, nothing from its chunk on is counted, the file is closed and every thread joined."""
+        data = tmp_path / "bad.txt"
+        data.write_text("1.0.0.1\n2.0.0.2\n" * 50 + "3.0.0.x\n" + "4.0.0.4\n" * 20)
+        # five 8-byte lines a chunk: the 21st chunk starts at the bad line
+        monkeypatch.setattr(model, "TEXT_CHUNK_BYTES", 32)
+        handles = []
+        monkeypatch.setattr(model, "open", lambda *args: handles.append(open(*args)) or handles[-1], raising=False)
+        aggregated = aggregates_in_flight(monkeypatch, earlier=20)
+        counted = []
+        add_runs = TlmbCounter.add_runs
+
+        def counting_add_runs(self, values, counts):
+            counted.append(((values >> 24).tolist(), int(counts.sum())))
+            return add_runs(self, values, counts)
+
+        monkeypatch.setattr(TlmbCounter, "add_runs", counting_add_runs)
+        threads = threading.active_count()
+        with pytest.raises(MalformedAddress, match="line 101"):
+            query(FileSource(data), "tlmb", 5, workers)
+        assert {octet for octets, _ in counted for octet in octets} == {1, 2}
+        # the 20 batches before the bad chunk were aggregated; all but the W aggregated ahead were counted
+        assert len(aggregated) == 20
+        assert sum(total for _, total in counted) == 5 * (20 - workers)
+        assert [handle.closed for handle in handles] == [True]
+        assert threading.active_count() == threads
 
     def test_cli_exits_2(self, tmp_path, monkeypatch, capsys):
         path = tmp_path / "overflow.bin"

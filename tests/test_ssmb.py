@@ -4,7 +4,6 @@ import os
 import sys
 import tempfile
 import threading
-import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
@@ -15,7 +14,15 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import ipstat.model
-from conftest import CountingSource, SingleUseSource, as_pairs, oracle_top_k, property_settings, random_addresses
+from conftest import (
+    CountingSource,
+    SingleUseSource,
+    aggregates_in_flight,
+    as_pairs,
+    oracle_top_k,
+    property_settings,
+    random_addresses,
+)
 from ipstat import (
     ArraySource,
     CountOverflow,
@@ -34,7 +41,6 @@ from ipstat import (
     to_u32,
 )
 from ipstat import ssmb
-from ipstat.model import aggregate
 from ipstat.ssmb import GROUP_TILES, RUN, TILE_SLOTS, OctetSpill, spilled, sweep_ranges
 
 BLOCK_BYTES = 134_217_728
@@ -411,15 +417,7 @@ class TestSpill:
         append = OctetSpill.append
         monkeypatch.setattr(tempfile, "TemporaryFile", spy)
         monkeypatch.setattr(OctetSpill, "append", lambda self, *runs: appended.append(append(self, *runs)))
-        aggregated = []
-
-        def slow_aggregate(batch):
-            if threading.current_thread() is not threading.main_thread():
-                time.sleep(0.005)  # still running when the reader meets the bad line
-            aggregated.append(batch.size)
-            return aggregate(batch)
-
-        monkeypatch.setattr(ssmb, "aggregate", slow_aggregate)
+        aggregated = aggregates_in_flight(monkeypatch, earlier=20)
         threads = threading.active_count()
         with pytest.raises(MalformedAddress, match="line 101"):
             SsmbCounter(workers).top_k(FileSource(data), 5)
