@@ -31,6 +31,7 @@ values.
 from __future__ import annotations
 
 import mmap
+import os
 from contextlib import closing
 from typing import BinaryIO, Iterator, NamedTuple
 
@@ -196,6 +197,12 @@ def runs(source, pool=None, ahead: int = 0) -> Iterator[tuple[np.ndarray, np.nda
     finally:
         for future in pending:
             future.cancel()
+
+
+def read_ahead(workers: int) -> int:
+    """How many batches a pool of ``workers`` threads aggregates ahead: one a thread, at most one a usable CPU."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return min(workers, cpus)
 
 
 def octet_runs(values: np.ndarray) -> list[tuple[int, int, int]]:

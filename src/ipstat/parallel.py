@@ -13,9 +13,10 @@ stream's. Each worker owns at least one octet, so W runs from 1 to 256.
 ``by_prefix_bits`` keeps the even cut by leading address bits.
 The input is read once, through ``model.runs``: each batch is reduced to
 its ascending distinct addresses and their counts on the pool, up to W
-batches ahead of the reading thread, which only decodes. Since ownership
-is monotone in the address, one cut at the owners' start addresses hands
-every worker its own slice of those runs. The reading thread decodes the
+batches, and at most one per usable CPU, ahead of the reading thread,
+which only decodes. Since ownership is monotone in the address, one cut
+at the owners' start addresses hands every worker its own slice of those
+runs. The reading thread decodes the
 next batch while the workers count this one, and waits for them before it
 hands out the next.
 
@@ -37,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidPlan
-from .model import runs
+from .model import read_ahead, runs
 from .ssmb import first_octets
 from .tlmb import TlmbCounter
 from .topk import HeapEntry, merge_top_k
@@ -130,10 +131,11 @@ def run_parallel(source, plan: PartitionPlan, k: int) -> tuple[list[HeapEntry], 
     """Run one partitioned tlmb top-k; returns (merged entries, worker results)."""
     if plan.method != "tlmb":
         raise InvalidPlan("only tlmb plans run partitioned; ssmb sweeps one block with SsmbCounter(workers=W)")
+    ahead = read_ahead(plan.workers)
     # the runs close before the pool joins: they cancel the aggregates still
     # queued and drop the stream, so a failed query closes a file source at
     # once, without the cyclic collector
-    with ThreadPoolExecutor(max_workers=plan.workers) as pool, closing(runs(source, pool, plan.workers)) as batches:
+    with ThreadPoolExecutor(max_workers=plan.workers) as pool, closing(runs(source, pool, ahead)) as batches:
         values, counts = next(batches, _NO_RUNS)
         if not plan.octets:
             plan = PartitionPlan.by_value_share(values, plan.workers)

@@ -14,10 +14,16 @@ unlinked temporary file, with an in-memory index of every first octet's
 runs. The first octets present fall out of this pass, so no separate
 discovery pass is needed. Each subset pass then reads back only its own
 octet's runs, adds them at slot b*65536 + c*256 + d (the low 24 bits of
-the address), and sweeps the block (``offer_block``, ipmap's sweep too):
-one read of the block names its live (non-zero) 512-slot tiles, and only
-those are scanned and then re-zeroed, so the next pass starts from an
-all-zero block.
+the address), and sweeps the block in one read, so the next pass starts
+from an all-zero block. The sweep is picked per slot range from the run
+entries the pass spilled into it: each distinct slot once per batch that
+holds it. A sparse range, under one entry per two tiles, takes the tile
+sweep (``offer_block``, ipmap's sweep too): its read names the live
+(non-zero) 512-slot tiles, and only those are scanned and then re-zeroed.
+A dense range takes the slot sweep (``drain_slots``): each 8 MiB step is
+compared into one reused mask while it is in cache, and only its hit
+slots are gathered, zeroed and offered, with no second trip over mostly
+empty live tiles.
 
 W threads (``workers=W``) each own one contiguous, tile-aligned slot range
 of the block (``sweep_ranges``) for every pass. The calling thread reads
@@ -46,7 +52,7 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 from .errors import InvalidPlan
-from .model import checked_add, octet_runs, runs
+from .model import checked_add, octet_runs, read_ahead, runs
 from .topk import HeapEntry, TopKHeap, merge_top_k, offer_nonzero
 
 BLOCK_SLOTS = 1 << 24
@@ -54,6 +60,9 @@ BLOCK_BYTES = BLOCK_SLOTS * 8
 
 TILE_SLOTS = 512  # the sweep's coarse layer: 4 KiB tiles
 GROUP_TILES = 128  # live tiles scanned per step, so each tile copy is 512 KiB
+SWEEP_SLOTS = 1 << 20  # the slot sweep's step: 8 MiB of the block, compared into one 1 MiB mask
+# a range whose pass spilled at least one run entry per this many of its slots is swept slot by slot
+DENSE_SLOTS_PER_ENTRY = 2 * TILE_SLOTS
 MAX_SWEEP_RANGES = 256
 
 # one spilled run entry: a distinct address's low-24 slot and its count
@@ -150,6 +159,25 @@ def offer_block(heap: TopKHeap, block: np.ndarray, octet: int, base: int = 0) ->
     return total, live
 
 
+def drain_slots(heap: TopKHeap, block: np.ndarray, octet: int, base: int = 0) -> int:
+    """Offer a count block's non-zero slots to ``heap`` and zero them; returns their sum.
+
+    Slot s of ``block`` counts the address ``octet << 24 | base + s``. Each
+    ``SWEEP_SLOTS`` step is read once, into a reused mask, while it is in
+    cache; only its hit slots are gathered, zeroed and offered.
+    """
+    mask = np.empty(min(block.size, SWEEP_SLOTS), dtype=np.bool_)
+    total = 0
+    for start in range(0, block.size, SWEEP_SLOTS):
+        step = block[start : start + SWEEP_SLOTS]
+        hits = np.flatnonzero(np.not_equal(step, 0, out=mask[: step.size]))
+        counts = step[hits]
+        step[hits] = 0
+        heap.offer_many((hits + ((octet << 24) + base + start)).astype(np.uint32), counts)
+        total += int(counts.sum())
+    return total
+
+
 def sweep_ranges(workers: int) -> list[tuple[int, int]]:
     """Contiguous tile-aligned [lo, hi) slot ranges covering the block, one per sweep thread (at most 256)."""
     if workers < 1:
@@ -202,7 +230,7 @@ class SsmbCounter:
         heaps = [TopKHeap(k) for _ in self._ranges]
         # one range starts no thread: the spill aggregates inline and the pass runs here
         threads = ThreadPoolExecutor(len(heaps)) if len(heaps) > 1 else nullcontext()
-        with threads as pool, spilled(source, pool, len(heaps)) as spill:
+        with threads as pool, spilled(source, pool, read_ahead(len(heaps))) as spill:
             if octets is None:
                 octets = spill.octets
             self._q = len(octets)
@@ -228,20 +256,24 @@ class SsmbCounter:
         def scatter(slots: np.ndarray, counts: np.ndarray) -> None:
             block[slots] = checked_add(block[slots], counts)
 
-        def sweep(heap: TopKHeap, lo: int, hi: int) -> int:
+        def sweep(heap: TopKHeap, lo: int, hi: int, entries: int) -> int:
             part = block[lo:hi]
+            if entries * DENSE_SLOTS_PER_ENTRY >= hi - lo:
+                return drain_slots(heap, part, octet, lo)
             slot_sum, live = offer_block(heap, part, octet, lo)
             part.reshape(-1, TILE_SLOTS)[live] = 0
             return slot_sum
 
         pass_records = 0
+        entries = np.zeros(len(self._ranges), dtype=np.int64)  # each range's spilled run entries
         try:
             for slots, counts in spill.runs(octet):
                 # read and cut once here: a segment's slots ascend, so each range gets one slice
                 cuts = np.searchsorted(slots, edges)
                 list(each_range(scatter, np.split(slots, cuts), np.split(counts, cuts)))
+                entries += np.diff(cuts, prepend=0, append=slots.size)
                 pass_records += int(counts.sum())
-            slot_sum = sum(each_range(sweep, heaps, *zip(*self._ranges)))
+            slot_sum = sum(each_range(sweep, heaps, *zip(*self._ranges), entries.tolist()))
         except BaseException:
             self._block = None
             raise

@@ -8,6 +8,7 @@ Anything the library returns must match it exactly.
 
 from __future__ import annotations
 
+import os
 import threading
 import time
 from collections import Counter
@@ -63,6 +64,27 @@ def aggregates_in_flight(monkeypatch, earlier: int) -> list[int]:
     monkeypatch.setattr(model, "aggregate", slow_aggregate)
     monkeypatch.setattr(model, "_parse_lines", waiting_parse_lines)
     return finished
+
+
+def pin_usable_cpus(monkeypatch, cpus: int) -> None:
+    """Make ``model.read_ahead`` see ``cpus`` usable CPUs, whatever the machine has."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+
+class PullCountingSource:
+    """Wraps a record source and counts the batches read from its passes so far."""
+
+    def __init__(self, source):
+        self._source = source
+        self.pulled = 0
+
+    def open(self):
+        def counted():
+            for batch in self._source.open().batches():
+                self.pulled += 1
+                yield batch, 0
+
+        return model.RecordStream(counted())
 
 
 def as_pairs(entries) -> list[tuple[int, int]]:

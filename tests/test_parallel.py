@@ -9,7 +9,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import CountingSource, aggregates_in_flight, as_pairs, oracle_top_k, property_settings, random_addresses
+from conftest import (
+    CountingSource,
+    PullCountingSource,
+    aggregates_in_flight,
+    as_pairs,
+    oracle_top_k,
+    pin_usable_cpus,
+    property_settings,
+    random_addresses,
+)
 from ipstat import (
     ArraySource,
     CountOverflow,
@@ -318,6 +327,7 @@ class TestReaderAhead:
         data.write_text("1.0.0.1\n2.0.0.2\n" * 50 + "3.0.0.x\n" + "4.0.0.4\n" * 20)
         # five 8-byte lines a chunk: the 21st chunk starts at the bad line
         monkeypatch.setattr(model, "TEXT_CHUNK_BYTES", 32)
+        pin_usable_cpus(monkeypatch, workers)  # W batches ahead on any machine
         handles = []
         monkeypatch.setattr(model, "open", lambda *args: handles.append(open(*args)) or handles[-1], raising=False)
         aggregated = aggregates_in_flight(monkeypatch, earlier=20)
@@ -338,6 +348,33 @@ class TestReaderAhead:
         assert sum(total for _, total in counted) == 5 * (20 - workers)
         assert [handle.closed for handle in handles] == [True]
         assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("cpus", [1, 2, 8])
+    def test_read_ahead_is_bounded_by_the_usable_cpus(self, monkeypatch, cpus):
+        """With W = 4 threads, both pooled readers keep min(W, usable CPUs) batches read and not yet handed on."""
+        pin_usable_cpus(monkeypatch, cpus)
+        monkeypatch.setattr(model, "BATCH_RECORDS", 50)
+        values = random_addresses(np.random.default_rng(608), 1000, first_octet_cap=4)
+        in_flight = []
+        append, bounds = ssmb.OctetSpill.append, PartitionPlan.bounds
+
+        def handed_on(call):
+            # runs the caller's use of the next batch, after counting the batches read past it
+            def wrapper(owner, *args):
+                in_flight.append(source.pulled - len(in_flight) - 1)
+                return call(owner, *args)
+
+            return wrapper
+
+        monkeypatch.setattr(ssmb.OctetSpill, "append", handed_on(append))
+        monkeypatch.setattr(PartitionPlan, "bounds", handed_on(bounds))
+        for method in ("ssmb", "tlmb"):
+            source = PullCountingSource(ArraySource(values))
+            in_flight.clear()
+            entries, _ = query(source, method, 5, 4)
+            assert as_pairs(entries) == oracle_top_k(values, 5)
+            assert len(in_flight) == source.pulled == 20
+            assert max(in_flight) == in_flight[0] == min(4, cpus), method
 
     def test_cli_exits_2(self, tmp_path, monkeypatch, capsys):
         path = tmp_path / "overflow.bin"

@@ -6,6 +6,8 @@ import tempfile
 import threading
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
+from typing import Iterator
 from unittest import mock
 
 import numpy as np
@@ -20,6 +22,7 @@ from conftest import (
     aggregates_in_flight,
     as_pairs,
     oracle_top_k,
+    pin_usable_cpus,
     property_settings,
     random_addresses,
 )
@@ -33,6 +36,7 @@ from ipstat import (
     PartitionPlan,
     SsmbCounter,
     TlmbCounter,
+    TopKHeap,
     discover_subsets,
     from_u32,
     open_stream,
@@ -41,7 +45,7 @@ from ipstat import (
     to_u32,
 )
 from ipstat import ssmb
-from ipstat.ssmb import GROUP_TILES, RUN, TILE_SLOTS, OctetSpill, spilled, sweep_ranges
+from ipstat.ssmb import DENSE_SLOTS_PER_ENTRY, GROUP_TILES, RUN, SWEEP_SLOTS, TILE_SLOTS, OctetSpill, spilled, sweep_ranges
 
 BLOCK_BYTES = 134_217_728
 
@@ -404,6 +408,7 @@ class TestSpill:
         spill_dir = tmp_path / "spill"
         spill_dir.mkdir()
         monkeypatch.setattr(ipstat.model, "TEXT_CHUNK_BYTES", 32)
+        pin_usable_cpus(monkeypatch, workers)  # W batches ahead on any machine
         monkeypatch.setenv("TMPDIR", str(spill_dir))
         monkeypatch.setattr(tempfile, "tempdir", None)
         opened = []
@@ -499,6 +504,55 @@ class TestOneBlockSweep:
         assert all(s["slot_sum"] == s["pass_records"] for s in seen)
         assert not counter._block.any() and threading.active_count() == threads
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failed_slot_sweep_drops_the_block_and_joins_the_threads(self, workers):
+        # octet 0 takes the tile sweep; octet 1 spills one run entry per DENSE_SLOTS_PER_ENTRY slots, so every
+        # range takes the slot sweep, and the last range raises in its second step, after its first was zeroed
+        dense = (1 << 24) | np.arange(0, 2**24, DENSE_SLOTS_PER_ENTRY, dtype=np.uint32)
+        values = np.concatenate([addresses_of("0.255.255.255"), dense, dense[-3:]])
+        starts = [lo for lo, _ in sweep_ranges(workers)]
+        taken = {**{(0, lo): "tiles" for lo in starts}, **{(1, lo): "slots" for lo in starts}}
+        offer_many = TopKHeap.offer_many
+
+        def failing_offer_many(heap, addresses, counts):
+            if addresses.size and addresses[0] >> 24 == 1 and addresses[0] & 0xFFFFFF >= starts[-1] + SWEEP_SLOTS:
+                raise MemoryError("slot sweep")
+            return offer_many(heap, addresses, counts)
+
+        counter = SsmbCounter(workers=workers)
+        threads = threading.active_count()
+        with sweeps_taken() as swept, mock.patch.object(TopKHeap, "offer_many", failing_offer_many):
+            with pytest.raises(MemoryError, match="slot sweep"):
+                counter.top_k(ArraySource(values), 5)
+        assert swept == taken
+        assert counter._block is None and threading.active_count() == threads
+        seen = []
+        with sweeps_taken() as swept:
+            entries = counter.top_k(ArraySource(values), 5, pass_hook=lambda octet, stats: seen.append(stats))
+        assert as_pairs(entries) == oracle_top_k(values, 5)
+        assert swept == taken
+        assert [(s["octet"], s["pass_records"]) for s in seen] == [(0, 1), (1, dense.size + 3)]
+        assert all(s["slot_sum"] == s["pass_records"] for s in seen)
+        assert not counter._block.any() and threading.active_count() == threads
+
+
+@contextmanager
+def sweeps_taken() -> Iterator[dict]:
+    """Note the sweep each (octet, range start) took: "slots" (``drain_slots``) or "tiles" (``offer_block``)."""
+    swept = {}
+    drain_slots, offer_block = ssmb.drain_slots, ssmb.offer_block
+
+    def slots(heap, block, octet, base=0):
+        swept[octet, base] = "slots"
+        return drain_slots(heap, block, octet, base)
+
+    def tiles(heap, block, octet, base=0):
+        swept[octet, base] = "tiles"
+        return offer_block(heap, block, octet, base)
+
+    with mock.patch.object(ssmb, "drain_slots", slots), mock.patch.object(ssmb, "offer_block", tiles):
+        yield swept
+
 
 def edge_slots(workers: int) -> list[int]:
     """Slot 0, each sweep range's first slot and the slot before it, and the block's last slot."""
@@ -560,3 +614,53 @@ def test_every_tile_live_in_every_range(workers):
     assert [(s["slot_sum"], s["pass_records"]) for s in seen] == [(values.size, values.size)]
     assert not counter._block.any()
     assert as_pairs(entries) == oracle_top_k(values, 50)
+
+
+def cut_case(workers: int, offsets: dict[int, list[int]], seed: int):
+    """(workers, addresses, the (octet, range start) pairs at or past the cut).
+
+    ``offsets[octet][r]`` is how many spilled run entries sweep range r of
+    that octet's pass has past the fewest that make it dense; each entry is
+    a distinct slot, as the input is one batch, hit one to three times.
+    """
+    rng = np.random.default_rng(seed)
+    parts, dense = [], set()
+    for octet, row in offsets.items():
+        for (lo, hi), offset in zip(sweep_ranges(workers), row):
+            cut = -(-(hi - lo) // DENSE_SLOTS_PER_ENTRY)
+            if offset >= 0:
+                dense.add((octet, lo))
+            slots = lo + rng.choice(hi - lo, cut + offset, replace=False)
+            parts.append(np.repeat((octet << 24) | slots, rng.integers(1, 4, slots.size)))
+    return workers, rng.permutation(np.concatenate(parts)).astype(np.uint32), dense
+
+
+@st.composite
+def cut_cases(draw):
+    """One or two passes whose every range falls just under, at or just over the cut."""
+    workers = draw(st.sampled_from([1, 2, 3]))
+    octets = draw(st.lists(st.sampled_from([0, 9, 255]), min_size=1, max_size=2, unique=True))
+    offset = st.lists(st.sampled_from([-1, 0, 1]), min_size=workers, max_size=workers)
+    return cut_case(workers, {octet: draw(offset) for octet in octets}, draw(st.integers(0, 2**32 - 1)))
+
+
+@property_settings(12)
+@given(case=cut_cases(), k=st.integers(1, 300))
+# three uneven ranges under, at and over the cut; then a pass that flips every range's sweep
+@example(case=cut_case(3, {9: [-1, 0, 1], 255: [1, -1, 0]}, 1), k=50)
+@example(case=cut_case(1, {0: [0], 9: [-1]}, 2), k=300)
+@example(case=cut_case(2, {0: [-1, -1], 255: [1, 0]}, 3), k=1)
+def test_sweeps_across_the_cut_match_serial_and_oracle(shared_counter, case, k):
+    workers, values, dense = case
+    passes = []
+    serial = shared_counter.top_k(ArraySource(values), k, pass_hook=lambda octet, stats: passes.append(stats))
+    counter = SsmbCounter(workers=workers)
+    with sweeps_taken() as swept:
+        entries = counter.top_k(ArraySource(values), k, pass_hook=lambda octet, stats: passes.append(stats))
+    assert entries == serial
+    assert as_pairs(entries) == oracle_top_k(values, k)
+    octets = sorted({int(v) >> 24 for v in values})
+    assert swept == {(o, lo): "slots" if (o, lo) in dense else "tiles" for o in octets for lo, _ in sweep_ranges(workers)}
+    assert [s["octet"] for s in passes] == octets * 2
+    assert all(s["slot_sum"] == s["pass_records"] for s in passes)
+    assert not counter._block.any() and not shared_counter._block.any()
