@@ -14,7 +14,8 @@ A prefix's handle slot lives at index a*256*256 + b*256 + c, which is just
 the address value shifted right by 8 — distinct prefixes never collide.
 The counter reports ``tracked_bytes`` as the handle table plus 2048 bytes
 per allocated block, so memory follows the number of distinct /24
-prefixes seen, not the number of records.
+prefixes seen, not the number of records; each block's 4-byte prefix
+and 8-byte peak (its largest count) are left out.
 
 ``first_octet_base``/``first_octet_span`` narrow a counter to a slice of
 the first-octet range, shrinking the handle table proportionally; the
@@ -23,8 +24,10 @@ parallel scheme runs one narrowed counter per owner's octet range.
 Blocks are stored as rows of one growing pool array. Counting goes
 through one seam, ``add_runs(values, counts)``: ascending distinct
 addresses and their multiplicities touch the handle table and the pool in
-one gather-check-scatter over flat slot indices, and new prefixes get
-their blocks in ascending prefix order. ``ingest_many`` feeds it a batch
+one gather-check-scatter over flat slot indices, new prefixes get their
+blocks in ascending prefix order, and each touched block's peak rises to
+its largest new total, so ``top_k`` reads only the blocks whose peak
+reaches the k-th largest peak. ``ingest_many`` feeds it a batch
 reduced by ``model.aggregate``; the parallel scheme aggregates a batch
 once and hands each worker's counter its slice of the runs.
 """
@@ -58,6 +61,7 @@ class TlmbCounter:
         self._handles = np.zeros(first_octet_span * 65536, dtype=np.uint64)
         self._pool = np.zeros((_POOL_SEED_BLOCKS, BLOCK_SLOTS), dtype=np.uint64)
         self._prefixes = np.zeros(_POOL_SEED_BLOCKS, dtype=np.uint32)
+        self._peaks = np.zeros(_POOL_SEED_BLOCKS, dtype=np.uint64)
         self._allocated = 0
         self._records = 0
 
@@ -82,15 +86,19 @@ class TlmbCounter:
             runs = local[fresh]
             self._allocate(runs[np.diff(runs, prepend=-1) != 0])
             handles = self._handles[local]
-        slots = (handles - 1).astype(np.int64) * BLOCK_SLOTS + (values & np.uint32(0xFF))
+        ordinals = (handles - 1).astype(np.int64)
+        slots = ordinals * BLOCK_SLOTS + (values & np.uint32(0xFF))
         pool_flat = self._pool.reshape(-1)
         try:
-            pool_flat[slots] = checked_add(pool_flat[slots], counts)
+            totals = checked_add(pool_flat[slots], counts)
         except CountOverflow:
             # a refused batch gives back the blocks it allocated; they hold no count yet
             self._handles[local[fresh]] = 0
             self._allocated = allocated
             raise
+        pool_flat[slots] = totals
+        # counts only rise, so a block's peak is its largest total written so far
+        np.maximum.at(self._peaks, ordinals, totals)
         self._records += int(counts.sum())
 
     def _allocate(self, fresh: np.ndarray) -> None:
@@ -106,6 +114,9 @@ class TlmbCounter:
             prefixes = np.zeros(capacity, dtype=np.uint32)
             prefixes[: self._allocated] = self._prefixes[: self._allocated]
             self._prefixes = prefixes
+            peaks = np.zeros(capacity, dtype=np.uint64)
+            peaks[: self._allocated] = self._peaks[: self._allocated]
+            self._peaks = peaks
         ordinals = np.arange(self._allocated, needed, dtype=np.uint64)
         self._handles[fresh] = ordinals + 1
         self._prefixes[self._allocated : needed] = (fresh + self._base_prefix).astype(np.uint32)
@@ -131,14 +142,21 @@ class TlmbCounter:
     def top_k(self, k: int) -> list[HeapEntry]:
         """The k strongest (address, count) pairs, strongest first.
 
-        Sweeps only allocated blocks, _SWEEP_BLOCKS at a time, each chunk
-        through ``offer_nonzero``, so the cost follows distinct prefixes
-        rather than the full table size.
+        Reads only the blocks whose peak is at least the floor, the k-th
+        largest peak, _SWEEP_BLOCKS at a time through ``offer_nonzero``.
+        That is exact: the k blocks with the highest peaks hold k distinct
+        addresses counting at least the floor, so no address below it can
+        make the answer, and every one at or above it sits in a block read.
         """
         heap = TopKHeap(k)
-        for start in range(0, self._allocated, _SWEEP_BLOCKS):
-            stop = min(start + _SWEEP_BLOCKS, self._allocated)
-            offer_nonzero(heap, self._pool[start:stop], self._prefixes[start:stop] << np.uint32(8))
+        peaks = self._peaks[: self._allocated]
+        floor = np.partition(peaks, peaks.size - k)[peaks.size - k] if peaks.size > k else 0
+        rows = np.flatnonzero(peaks >= floor)
+        for start in range(0, rows.size, _SWEEP_BLOCKS):
+            chunk = rows[start : start + _SWEEP_BLOCKS]
+            if chunk[-1] - chunk[0] == chunk.size - 1:  # consecutive rows, as under full ties: a view, no copy
+                chunk = slice(chunk[0], chunk[-1] + 1)
+            offer_nonzero(heap, self._pool[chunk], self._prefixes[chunk] << np.uint32(8))
         return heap.drain_sorted()
 
     def stats(self) -> dict:
@@ -162,5 +180,6 @@ class TlmbCounter:
         self._handles[:] = 0
         self._pool[: self._allocated] = 0
         self._prefixes[: self._allocated] = 0
+        self._peaks[: self._allocated] = 0
         self._allocated = 0
         self._records = 0

@@ -150,22 +150,26 @@ class TestOverflow:
 
     def test_tlmb_batch_raises_and_writes_nothing(self):
         counter = TlmbCounter()
-        counter.ingest_many(np.array([0x01020304], dtype=np.uint32))
+        counter.ingest_many(np.array([0x01020304, 0x01020501], dtype=np.uint32))
         counter._pool[0, 0x04] = self.TOP
-        before = counter.stats()
-        # 1.2.4.0/24 is a new prefix: its block must be given back too
-        batch = np.array([0x01020305, 0x01020304, 0x01020304, 0x01020401], dtype=np.uint32)
+        counter._peaks[0] = self.TOP
+        before, peaks = counter.stats(), counter._peaks.copy()
+        # 1.2.4.0/24 is a new prefix: its block must be given back too, and no peak written
+        batch = np.array([0x01020305, 0x01020304, 0x01020304, 0x01020401, 0x01020501], dtype=np.uint32)
         with pytest.raises(CountOverflow):
             counter.ingest_many(batch)
         assert counter.stats() == before
+        assert np.array_equal(counter._peaks, peaks)
         assert counter.count(from_u32(0x01020304)) == self.TOP
         assert counter.count(from_u32(0x01020305)) == 0
         assert counter.count(from_u32(0x01020401)) == 0
+        assert as_pairs(counter.top_k(1)) == [(0x01020304, self.TOP)]
         counter.ingest_many(batch[:2])
         assert counter.count(from_u32(0x01020304)) == 2**64 - 1
         counter.ingest_many(batch[3:])
         assert counter.count(from_u32(0x01020401)) == 1
-        assert counter.stats()["allocated_second_blocks"] == 2
+        assert counter.stats()["allocated_second_blocks"] == 3
+        assert as_pairs(counter.top_k(2)) == [(0x01020304, 2**64 - 1), (0x01020501, 2)]
 
     def test_ipmap_batch_raises_and_writes_nothing(self):
         counter = IpMapCounter()
