@@ -89,7 +89,7 @@ def query(source, method: str, k: int, workers: int = 1) -> tuple[list[HeapEntry
         return counter.top_k(source, k), counter.stats()
     if workers > 1:
         # the plan has no owners yet: the query cuts them from the first batch it reads
-        entries, results = run_parallel(source, PartitionPlan(method="tlmb", workers=workers), k)
+        entries, results = run_parallel(source, PartitionPlan(workers), k)
         stats = {"workers": len(results)}
         for result in results:
             for key, value in result.stats.items():

@@ -21,7 +21,7 @@ next batch while the workers count this one, and waits for them before it
 hands out the next.
 
 ssmb runs no plan: ``SsmbCounter(workers=W)`` sweeps its one block on W
-threads. ``by_first_octets`` still deals first octets round-robin.
+threads.
 
 Each worker reports its local top-k candidates; a coordinator heap merges
 them. An address's global count appears intact in exactly one worker's
@@ -48,31 +48,23 @@ _NO_RUNS = (np.empty(0, dtype=np.uint32), np.empty(0, dtype=np.uint64))
 
 @dataclass(frozen=True)
 class PartitionPlan:
-    """How records are split across workers for one method.
+    """Which first octets each tlmb worker owns; ssmb runs no plan.
 
-    ``octets`` are a tlmb plan's owner start octets (ascending, the first
-    0), or an ssmb plan's subset octets. A tlmb plan without them is cut
-    from its first batch (``by_value_share``).
+    ``octets`` are the owners' start octets, ascending, the first 0. A plan
+    without them is cut from its first batch (``by_value_share``).
     """
 
-    method: str
     workers: int
     octets: tuple[int, ...] = ()
 
     def __post_init__(self):
         if self.workers < 1:
             raise InvalidPlan(f"worker count must be at least 1, got {self.workers}")
-        if self.method == "tlmb":
-            if self.workers > 256:
-                raise InvalidPlan(f"tlmb worker count must be at most 256, one first octet each, got {self.workers}")
-            starts = list(self.octets)
-            if starts and (len(starts) != self.workers or starts[0] != 0 or starts != first_octets(starts)):
-                raise InvalidPlan(f"tlmb plans need one ascending start octet per worker from 0, got {starts}")
-        elif self.method == "ssmb":
-            if list(self.octets) != first_octets(self.octets):
-                raise InvalidPlan("ssmb plans need ascending distinct first octets")
-        else:
-            raise InvalidPlan(f"unknown method {self.method!r}")
+        if self.workers > 256:
+            raise InvalidPlan(f"tlmb worker count must be at most 256, one first octet each, got {self.workers}")
+        starts = list(self.octets)
+        if starts and (len(starts) != self.workers or starts[0] != 0 or starts != first_octets(starts)):
+            raise InvalidPlan(f"tlmb plans need one ascending start octet per worker from 0, got {starts}")
 
     @classmethod
     def by_prefix_bits(cls, prefix_bits: int) -> "PartitionPlan":
@@ -80,7 +72,7 @@ class PartitionPlan:
         if not 0 <= prefix_bits <= 8:
             raise InvalidPlan(f"prefix_bits must be in [0, 8], got {prefix_bits}")
         starts = tuple(range(0, 256, 256 >> prefix_bits))
-        return cls(method="tlmb", workers=1 << prefix_bits, octets=starts)
+        return cls(1 << prefix_bits, starts)
 
     @classmethod
     def by_value_share(cls, values: np.ndarray, workers: int) -> "PartitionPlan":
@@ -96,27 +88,20 @@ class PartitionPlan:
         # strictly ascending from 1 and at most 255, so no owner is empty
         ordinal = np.arange(1, workers)
         starts = np.minimum(np.maximum.accumulate(np.maximum(nearest - ordinal, 0)), 256 - workers) + ordinal
-        return cls(method="tlmb", workers=workers, octets=(0, *starts.tolist()))
-
-    @classmethod
-    def by_first_octets(cls, octets, workers: int) -> "PartitionPlan":
-        """ssmb plan: deal the given first octets round-robin to workers."""
-        return cls(method="ssmb", workers=workers, octets=tuple(first_octets(octets)))
+        return cls(workers, (0, *starts.tolist()))
 
     def bounds(self, values: np.ndarray) -> list[int]:
         """Cut ascending uint32 ``values`` by tlmb owner: worker w owns values[b[w]:b[w + 1]]."""
-        if self.method != "tlmb" or not self.octets:
-            raise InvalidPlan("only tlmb plans with owners cut the address range")
+        if not self.octets:
+            raise InvalidPlan("only plans with owners cut the address range")
         starts = np.array(self.octets[1:], dtype=np.uint32) << np.uint32(24)
         return [0, *np.searchsorted(values, starts).tolist(), values.size]
 
     def worker_octets(self, ordinal: int) -> list[int]:
-        """The first octets one worker owns: a tlmb range, or its ssmb subset passes."""
-        if self.method == "tlmb":
-            if not self.octets:
-                raise InvalidPlan("a tlmb plan without owners has no worker octets yet")
-            return list(range(self.octets[ordinal], (*self.octets, 256)[ordinal + 1]))
-        return list(self.octets[ordinal :: self.workers])
+        """The first octets one worker owns, one contiguous range."""
+        if not self.octets:
+            raise InvalidPlan("a plan without owners has no worker octets yet")
+        return list(range(self.octets[ordinal], (*self.octets, 256)[ordinal + 1]))
 
 
 @dataclass
@@ -129,8 +114,6 @@ class WorkerResult:
 
 def run_parallel(source, plan: PartitionPlan, k: int) -> tuple[list[HeapEntry], list[WorkerResult]]:
     """Run one partitioned tlmb top-k; returns (merged entries, worker results)."""
-    if plan.method != "tlmb":
-        raise InvalidPlan("only tlmb plans run partitioned; ssmb sweeps one block with SsmbCounter(workers=W)")
     ahead = read_ahead(plan.workers)
     # the runs close before the pool joins: they cancel the aggregates still
     # queued and drop the stream, so a failed query closes a file source at

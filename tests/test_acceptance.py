@@ -34,6 +34,8 @@ from ipstat import (
     write_csv,
 )
 
+from ipstat.ssmb import TILE_SLOTS, sweep_ranges
+
 FIRST_LAYER_BYTES = 134_217_728
 
 ALL_METHODS = ("tlmb", "ssmb", "hash", "ipmap")
@@ -336,7 +338,7 @@ def test_criterion_9_property_suites(record_criterion):
         zeroing += groups
     cases["subset zeroing"] = zeroing
 
-    # partition coverage and disjointness for both schemes
+    # partition coverage and disjointness: tlmb's owner cut and ssmb's sweep ranges
     coverage = 0
     for _ in range(500):
         r = int(rng.integers(0, 9))
@@ -351,13 +353,19 @@ def test_criterion_9_property_suites(record_criterion):
         owners = np.repeat(np.arange(plan.workers), np.diff(cuts))
         assert np.array_equal(owners, values.astype(np.uint64) >> np.uint64(32 - r))
         coverage += 1
-    for _ in range(500):
-        octets = sorted(rng.choice(256, size=int(rng.integers(1, 17)), replace=False).tolist())
-        workers = int(rng.integers(1, 6))
-        plan = PartitionPlan.by_first_octets(octets, workers)
-        dealt = [plan.worker_octets(w) for w in range(workers)]
-        flattened = sorted(octet for part in dealt for octet in part)
-        assert flattened == octets  # covers every subset exactly once
+    for workers in [1, 256, 257, 300, *rng.integers(1, 301, size=496).tolist()]:
+        ranges = sweep_ranges(workers)
+        los, his = (np.array(side, dtype=np.int64) for side in zip(*ranges))
+        # min(W, 256) non-empty, tile-aligned ranges, each starting where the last ends, cover the block once
+        assert len(ranges) == min(workers, 256)
+        assert los[0] == 0 and his[-1] == 2**24 and np.array_equal(los[1:], his[:-1])
+        assert np.all(los < his) and not np.any(los % TILE_SLOTS)
+        # the pass's one cut of an ascending segment gives each slot to the range that holds it
+        drawn = rng.integers(0, 2**24, size=200, dtype=np.int64)
+        slots = np.unique(np.concatenate([drawn, los, his - 1]))
+        cuts = np.searchsorted(slots, los[1:])
+        owners = np.repeat(np.arange(len(ranges)), np.diff(cuts, prepend=0, append=slots.size))
+        assert np.all((los[owners] <= slots) & (slots < his[owners]))
         coverage += 1
     cases["partition coverage/disjointness"] = coverage
 

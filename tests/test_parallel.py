@@ -60,17 +60,6 @@ class TestPlans:
         assert cut(plan, [0, 2**32 - 1]) == [[0, 2**32 - 1]]
         assert plan.bounds(np.empty(0, dtype=np.uint32)) == [0, 0]
 
-    def test_first_octet_assignment(self):
-        plan = PartitionPlan.by_first_octets([7, 9], workers=2)
-        assert [plan.worker_octets(w) for w in range(2)] == [[7], [9]]
-        with pytest.raises(InvalidPlan):
-            plan.bounds(np.array([7 << 24], dtype=np.uint32))
-
-    def test_first_octets_deal_round_robin(self):
-        plan = PartitionPlan.by_first_octets([3, 5, 8, 11, 40], workers=2)
-        assert plan.worker_octets(0) == [3, 8, 40]
-        assert plan.worker_octets(1) == [5, 11]
-
     def test_invalid_prefix_bits(self):
         for bad in (-1, 9, 100):
             with pytest.raises(InvalidPlan):
@@ -78,29 +67,25 @@ class TestPlans:
 
     def test_invalid_worker_counts(self):
         with pytest.raises(InvalidPlan):
-            PartitionPlan(method="tlmb", workers=257)
+            PartitionPlan(257)
         with pytest.raises(InvalidPlan):
-            PartitionPlan(method="ssmb", workers=0, octets=(1,))
-        with pytest.raises(InvalidPlan):
-            PartitionPlan(method="hash", workers=1)
+            PartitionPlan(0, (0,))
 
     def test_tlmb_plan_takes_1_to_256_workers(self):
         # each worker owns at least one first octet; no thread starts here
         for workers in (0, 257, 10_000):
             with pytest.raises(InvalidPlan):
-                PartitionPlan("tlmb", workers)
+                PartitionPlan(workers)
         # the owners are left for the query to cut from its first batch
         for workers in (1, 3, 8, 255, 256):
-            plan = PartitionPlan("tlmb", workers)
+            plan = PartitionPlan(workers)
             assert plan.workers == workers and plan.octets == ()
 
-    def test_ssmb_plans_do_not_run_partitioned(self):
+    def test_hash_and_ipmap_do_not_run_partitioned(self):
         source = ArraySource(np.array([1 << 24], dtype=np.uint32))
         for method in ("hash", "ipmap"):
             with pytest.raises(InvalidPlan, match="no partition scheme"):
                 query(source, method, 1, 2)
-        with pytest.raises(InvalidPlan, match="only tlmb plans"):
-            run_parallel(source, PartitionPlan.by_first_octets([1], 1), 1)
 
 
 class TestValueSharePlans:
@@ -138,21 +123,21 @@ class TestValueSharePlans:
         assert all(owned)
 
     def test_bounds_cut_at_owner_start_addresses(self):
-        plan = PartitionPlan(method="tlmb", workers=2, octets=(0, 6))
+        plan = PartitionPlan(2, (0, 6))
         values = np.array([5 << 24, (6 << 24) - 1, 6 << 24, 2**32 - 1], dtype=np.uint32)
         assert plan.bounds(values) == [0, 2, 4]
         with pytest.raises(InvalidPlan, match="with owners"):
-            PartitionPlan(method="tlmb", workers=2).bounds(values)
+            PartitionPlan(2).bounds(values)
         with pytest.raises(InvalidPlan, match="without owners"):
-            PartitionPlan(method="tlmb", workers=2).worker_octets(0)
+            PartitionPlan(2).worker_octets(0)
 
     def test_invalid_owner_starts(self):
         # too few, not from 0, repeated, descending, past 255
         for workers, octets in ((2, (0,)), (2, (1, 6)), (4, (0, 6, 6, 7)), (4, (0, 7, 6, 9)), (2, (0, 256))):
             with pytest.raises(InvalidPlan):
-                PartitionPlan(method="tlmb", workers=workers, octets=octets)
+                PartitionPlan(workers, octets)
         with pytest.raises(InvalidPlan, match="at most 256"):
-            PartitionPlan(method="tlmb", workers=257)
+            PartitionPlan(257)
 
 
 class TestAssignmentProperties:

@@ -196,7 +196,7 @@ class TestMemoryAndErrors:
         with pytest.raises(InvalidPlan, match="out of range"):
             SsmbCounter().top_k(ArraySource(np.empty(0, dtype=np.uint32)), 1, octets=[300])
         with pytest.raises(InvalidPlan, match="out of range"):
-            PartitionPlan.by_first_octets([300], workers=1)
+            PartitionPlan(2, (0, 300))
 
     def test_failed_pass_leaves_no_counts_behind(self, monkeypatch):
         # 1.0.0.1's second spill segment overflows a 3-count cap after the
