@@ -2,23 +2,23 @@
 
 The two-layer counter splits cleanly along the first octet, so every
 address is counted wholly by one worker and worker results never overlap.
-Worker w owns the first octets [octets[w], octets[w + 1]) of its plan's
-ascending start octets, and runs a counter narrowed to them, so the
-workers' handle tables add up to one full-range counter's. The query's
-plan is cut from the first batch: at first-octet boundaries, so that each
-worker owns about 1/W of its distinct addresses, and the owners still
-cover every octet once, so later batches are counted exactly wherever they
-fall; the split is even when the first batch's first-octet mix is the
-stream's. Each worker owns at least one octet, so W runs from 1 to 256.
-``by_prefix_bits`` keeps the even cut by leading address bits.
+A plan is its owners' ascending start octets: worker w owns the first
+octets from octets[w] up to the next start (256 for the last), and runs a
+counter narrowed to them, so the workers' handle tables add up to one
+full-range counter's. The query's plan is cut from the first batch: at
+first-octet boundaries, so that each worker owns about 1/W of its distinct
+addresses, and the owners still cover every octet once, so later batches
+are counted exactly wherever they fall; the split is even when the first
+batch's first-octet mix is the stream's. Each worker owns at least one
+octet, so W runs from 1 to 256. ``by_prefix_bits(r)`` is that cut's even
+case, ``by_value_share`` of no values for 2**r workers.
 The input is read once, through ``model.runs``: each batch is reduced to
 its ascending distinct addresses and their counts on the pool, up to W
 batches, and at most one per usable CPU, ahead of the reading thread,
 which only decodes. Since ownership is monotone in the address, one cut
 at the owners' start addresses hands every worker its own slice of those
-runs. The reading thread decodes the
-next batch while the workers count this one, and waits for them before it
-hands out the next.
+runs. The reading thread decodes the next batch while the workers count
+this one, and waits for them before it hands out the next.
 
 ssmb runs no plan: ``SsmbCounter(workers=W)`` sweeps its one block on W
 threads.
@@ -50,8 +50,9 @@ _NO_RUNS = (np.empty(0, dtype=np.uint32), np.empty(0, dtype=np.uint64))
 class PartitionPlan:
     """Which first octets each tlmb worker owns; ssmb runs no plan.
 
-    ``octets`` are the owners' start octets, ascending, the first 0. A plan
-    without them is cut from its first batch (``by_value_share``).
+    ``octets`` are the owners' start octets, ascending, the first 0; each
+    owner runs up to the next start. A plan without them is cut from its
+    first batch (``by_value_share``); ``by_prefix_bits`` is its even cut.
     """
 
     workers: int
@@ -68,11 +69,10 @@ class PartitionPlan:
 
     @classmethod
     def by_prefix_bits(cls, prefix_bits: int) -> "PartitionPlan":
-        """tlmb plan: 2**prefix_bits workers keyed by leading address bits."""
+        """tlmb plan: 2**prefix_bits workers keyed by leading address bits (the even cut)."""
         if not 0 <= prefix_bits <= 8:
             raise InvalidPlan(f"prefix_bits must be in [0, 8], got {prefix_bits}")
-        starts = tuple(range(0, 256, 256 >> prefix_bits))
-        return cls(1 << prefix_bits, starts)
+        return cls.by_value_share(np.empty(0, dtype=np.uint32), 1 << prefix_bits)
 
     @classmethod
     def by_value_share(cls, values: np.ndarray, workers: int) -> "PartitionPlan":
@@ -97,12 +97,6 @@ class PartitionPlan:
         starts = np.array(self.octets[1:], dtype=np.uint32) << np.uint32(24)
         return [0, *np.searchsorted(values, starts).tolist(), values.size]
 
-    def worker_octets(self, ordinal: int) -> list[int]:
-        """The first octets one worker owns, one contiguous range."""
-        if not self.octets:
-            raise InvalidPlan("a plan without owners has no worker octets yet")
-        return list(range(self.octets[ordinal], (*self.octets, 256)[ordinal + 1]))
-
 
 @dataclass
 class WorkerResult:
@@ -122,8 +116,7 @@ def run_parallel(source, plan: PartitionPlan, k: int) -> tuple[list[HeapEntry], 
         values, counts = next(batches, _NO_RUNS)
         if not plan.octets:
             plan = PartitionPlan.by_value_share(values, plan.workers)
-        owned = (plan.worker_octets(w) for w in range(plan.workers))
-        counters = [TlmbCounter(first_octet_base=o[0], first_octet_span=len(o)) for o in owned]
+        counters = [TlmbCounter(lo, hi - lo) for lo, hi in zip(plan.octets, (*plan.octets[1:], 256))]
         while values.size:
             cuts = plan.bounds(values)
             futures = [

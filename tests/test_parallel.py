@@ -112,13 +112,16 @@ class TestValueSharePlans:
         assert PartitionPlan.by_value_share(self.octets_of(7), 8).octets == (0, 7, 8, 9, 10, 11, 12, 13)
         assert PartitionPlan.by_value_share(self.octets_of(255), 4).octets == (0, 253, 254, 255)
         assert PartitionPlan.by_value_share(self.octets_of(0), 256).octets == tuple(range(256))
-        # no values: the even cut
+        # no values, and leading address bits: the even cut
         empty = np.empty(0, dtype=np.uint32)
-        assert PartitionPlan.by_value_share(empty, 8).octets == PartitionPlan.by_prefix_bits(3).octets
+        for r in range(9):
+            even = tuple(range(0, 256, 256 >> r))
+            assert PartitionPlan.by_prefix_bits(r).octets == even, r
+            assert PartitionPlan.by_value_share(empty, 2**r).octets == even, r
 
-    def test_worker_octets_cover_every_octet_once(self):
+    def test_owner_ranges_cover_every_octet_once(self):
         plan = PartitionPlan.by_value_share(self.octets_of(3, 40, 41), 4)
-        owned = [plan.worker_octets(w) for w in range(4)]
+        owned = [list(range(lo, hi)) for lo, hi in zip(plan.octets, (*plan.octets[1:], 256))]
         assert [octet for part in owned for octet in part] == list(range(256))
         assert all(owned)
 
@@ -128,8 +131,6 @@ class TestValueSharePlans:
         assert plan.bounds(values) == [0, 2, 4]
         with pytest.raises(InvalidPlan, match="with owners"):
             PartitionPlan(2).bounds(values)
-        with pytest.raises(InvalidPlan, match="without owners"):
-            PartitionPlan(2).worker_octets(0)
 
     def test_invalid_owner_starts(self):
         # too few, not from 0, repeated, descending, past 255
@@ -243,15 +244,15 @@ def test_first_batch_plan_matches_serial_and_oracle(case, workers, k):
     # the owners are cut from the first batch's distinct values
     ((first_values, plan),) = plans
     assert first_values.tolist() == np.unique(values[:batch_records]).tolist()
-    owned = [plan.worker_octets(w) for w in range(workers)]
+    owned = list(zip(plan.octets, (*plan.octets[1:], 256)))
     # they are contiguous, non-empty and cover octets 0..255 once, in worker order
-    assert [octet for part in owned for octet in part] == list(range(256))
-    assert all(owned)
+    assert len(owned) == workers and all(lo < hi for lo, hi in owned)
+    assert [octet for lo, hi in owned for octet in range(lo, hi)] == list(range(256))
     # the results are listed in worker order
     assert len(results) == workers
-    for result, octets in zip(results, owned):
-        assert all(entry.address.a in octets for entry in result.candidates)
-        assert result.stats["first_layer_bytes"] == len(octets) * 65536 * 8
+    for result, (lo, hi) in zip(results, owned):
+        assert all(lo <= entry.address.a < hi for entry in result.candidates)
+        assert result.stats["first_layer_bytes"] == (hi - lo) * 65536 * 8
 
 
 class TestReaderAhead:
