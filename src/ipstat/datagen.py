@@ -20,6 +20,7 @@ address — the same order every top-k result uses.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -136,14 +137,24 @@ def generate(spec: DatasetSpec, out_path) -> dict:
     """Write the dataset and its ground-truth sidecar; returns a report."""
     out_path = Path(out_path)
     records, distinct, counts = build_dataset(spec)
-    if spec.file_format == "binary":
-        write_binary(out_path, records)
-    else:
-        with open(out_path, "wb") as handle:
-            for start in range(0, records.size, _TEXT_CHUNK):
-                handle.write(_format_text(records[start : start + _TEXT_CHUNK]))
     truth_path = out_path.with_name(out_path.name + ".truth")
-    write_truth(truth_path, distinct, counts)
+    # both are written beside their places, then renamed over them: a query
+    # that mapped an old file reads on in its bytes, where truncating it
+    # in place would end that query with SIGBUS
+    staged = [path.with_name(f".{path.name}.{os.getpid()}.tmp") for path in (out_path, truth_path)]
+    try:
+        if spec.file_format == "binary":
+            write_binary(staged[0], records)
+        else:
+            with open(staged[0], "wb") as handle:
+                for start in range(0, records.size, _TEXT_CHUNK):
+                    handle.write(_format_text(records[start : start + _TEXT_CHUNK]))
+        write_truth(staged[1], distinct, counts)
+        os.replace(staged[0], out_path)
+        os.replace(staged[1], truth_path)
+    finally:
+        for path in staged:
+            path.unlink(missing_ok=True)
     return {
         "written_records": int(records.size),
         "distinct_written": int(distinct.size),

@@ -13,27 +13,23 @@ Two record file formats are supported:
 * binary: 8-byte header = magic "IPR1" plus a 4-byte little-endian record
   count, then that many 4-byte little-endian address words.
 
-Text is read in 8 MiB chunks, one batch each, and each chunk runs on to
-the end of its last line, so it stands alone. Every chunk is decoded in
-line-aligned slices of about 128 KiB. A vectorized kernel classifies
-every byte of a slice (the CR of each CRLF dropped) and only accepts or
-declines it: it accepts plain ``a.b.c.d`` lines with parts up to 255,
-computing each part from shifted views of the slice. It writes every
-slice-sized intermediate into one fixed scratch arena that the stream
-keeps until it ends, fails or is closed. Any slice it declines, or that
-holds a line too long for the arena, goes to the per-line parser, which
+Both are decoded from a read-only mapping of the file, not copied: a
+binary batch is a view of it. Text comes in 8 MiB chunks, one batch each,
+each run on to the end of its last line, so it stands alone. A chunk is
+decoded in line-aligned slices of about 128 KiB, each by a vectorized
+kernel that only accepts or declines plain ``a.b.c.d`` lines, in one
+scratch arena the stream keeps, or else by the per-line parser, which
 alone decides every rejection and lenient skip. So an odd line costs
 per-line parsing of its own slice only, and a record is accepted or
-rejected by its own bytes. Decoders return their skip counts with their
-values.
+rejected by its own bytes. Decoders return their skip counts with values.
 """
 
 from __future__ import annotations
 
 import mmap
 import os
-from contextlib import closing
-from typing import BinaryIO, Iterator, NamedTuple
+from contextlib import closing, suppress
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -143,22 +139,20 @@ def open_stream(path, fmt: str = "auto", lenient: bool = False) -> RecordStream:
     lenient mode malformed lines are counted and skipped. A binary file
     with a wrong magic or a truncated body always raises; bytes after its
     declared records raise in strict mode and are ignored in lenient mode.
-    Text yields one batch per TEXT_CHUNK_BYTES (8 MiB) chunk read, run on
-    to the end of its last line, binary one per BATCH_RECORDS records.
+    Text yields one batch per TEXT_CHUNK_BYTES (8 MiB) chunk, run on to
+    the end of its last line, binary one per BATCH_RECORDS records. The
+    file is mapped until the stream ends; truncating it meanwhile is SIGBUS.
     """
     if fmt not in ("auto", "text", "binary"):
         raise ValueError(f"unknown format {fmt!r}")
-    handle = open(path, "rb")
-    try:
+    with open(path, "rb") as handle:
         head = handle.read(4)
-        handle.seek(0)
-        if fmt == "auto":
-            fmt = "binary" if head == BINARY_MAGIC else "text"
-    except Exception:
-        handle.close()
-        raise
+        # an empty file holds no record, and mmap refuses to map it
+        data = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ) if head else b""
+    if fmt == "auto":
+        fmt = "binary" if head == BINARY_MAGIC else "text"
     decode = _binary_batches if fmt == "binary" else _text_batches
-    return RecordStream(decode(handle, lenient))
+    return RecordStream(decode(data, lenient))
 
 
 def aggregate(batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -223,21 +217,33 @@ def checked_add(current: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return current + counts
 
 
-def _binary_batches(handle: BinaryIO, lenient: bool) -> Iterator[tuple[np.ndarray, int]]:
-    with handle:
-        header = handle.read(8)
-        if len(header) < 8 or header[:4] != BINARY_MAGIC:
+def _binary_batches(data: mmap.mmap | bytes, lenient: bool) -> Iterator[tuple[np.ndarray, int]]:
+    try:
+        if data[:4] != BINARY_MAGIC or len(data) < 8:
             raise BinaryFormatError("missing IPR1 magic header")
-        remaining = int.from_bytes(header[4:8], "little")
-        while remaining:
-            take = min(BATCH_RECORDS, remaining)
-            data = handle.read(4 * take)
-            if len(data) < 4 * take:
-                raise BinaryFormatError(f"truncated body: {remaining} of the declared records missing")
-            remaining -= take
-            yield np.frombuffer(data, dtype="<u4").astype(np.uint32, copy=False), 0
-        if not lenient and handle.read(1):
+        end = 8 + 4 * int.from_bytes(data[4:8], "little")
+        for start in range(8, end, 4 * BATCH_RECORDS):
+            stop = min(start + 4 * BATCH_RECORDS, end)
+            if stop > len(data):
+                raise BinaryFormatError(f"truncated body: {(end - start) // 4} of the declared records missing")
+            yield np.frombuffer(data, "<u4", (stop - start) // 4, start).astype(np.uint32, copy=False), 0
+            _release(data, stop)
+        if not lenient and len(data) > end:
             raise BinaryFormatError("trailing bytes after the declared record count")
+    finally:
+        _unmap(data)
+
+
+def _release(data: mmap.mmap, stop: int) -> None:
+    """Drop the page-table entries of the whole pages before ``stop``, also any read back in; a view refaults them."""
+    data.madvise(mmap.MADV_DONTNEED, 0, stop - stop % mmap.PAGESIZE)
+
+
+def _unmap(data: mmap.mmap | bytes) -> None:
+    """Close a mapping (an empty file's b"" has none); one still viewed by a kept batch goes with its last view."""
+    if isinstance(data, mmap.mmap):
+        with suppress(BufferError):
+            data.close()
 
 
 def write_binary(path, addresses: np.ndarray) -> None:
@@ -251,42 +257,29 @@ def write_binary(path, addresses: np.ndarray) -> None:
         handle.write(arr.astype("<u4", copy=False).tobytes())
 
 
-def _text_batches(handle: BinaryIO, lenient: bool) -> Iterator[tuple[np.ndarray, int]]:
-    # A slice runs on to the end of its last line, so the scratch has room
-    # for lines up to 1 KiB past TEXT_SLICE_BYTES, and a longer slice is
-    # parsed line by line; it is released when the stream ends, fails or is
-    # closed early.
-    with handle, closing(_Scratch(TEXT_SLICE_BYTES + 1024)) as scratch:
-        # Chunks are read into one anonymous mapping, not into fresh bytes
-        # objects: freeing an 8 MiB malloc block raises glibc's dynamic mmap
-        # and trim thresholds, and the heap that decode leaves behind then
-        # stays resident through the 128 MiB block of a later ssmb pass
-        # (up to 12 MiB more peak RSS on a 1M-line file). A chunk is
-        # TEXT_CHUNK_BYTES read at the front, then the rest of its last line,
-        # so it holds whole lines only and nothing is carried to the next.
-        # Untouched pages of the spare half cost nothing; a last line that
-        # runs past the mapping grows it.
-        buf = mmap.mmap(-1, 2 * TEXT_CHUNK_BYTES)
-        line_base = 0
-        while read := handle.readinto(memoryview(buf)[:TEXT_CHUNK_BYTES]):
-            tail = handle.readline()
-            stop = read + len(tail)
-            if stop >= len(buf):
-                bigger = mmap.mmap(-1, stop + 1)
-                bigger[:read] = buf[:read]
-                buf = bigger
-            buf[read:stop] = tail
-            if buf[stop - 1] != _LF:
-                # final record without a trailing newline
-                buf[stop] = _LF
-                stop += 1
-            arr, lines, skipped = _parse_text_chunk(buf, stop, line_base, lenient, scratch)
-            line_base += lines
-            yield arr, skipped
+def _text_batches(data: mmap.mmap | bytes, lenient: bool) -> Iterator[tuple[np.ndarray, int]]:
+    # A chunk is TEXT_CHUNK_BYTES, then the rest of its last line, so it
+    # holds whole lines only and nothing is carried to the next. It is parsed
+    # in place in the file's mapping, whose pages it then releases. A slice
+    # runs on to the end of its last line, so the scratch has room for lines
+    # up to 1 KiB past TEXT_SLICE_BYTES, and a longer slice is parsed line by
+    # line. Scratch and mapping go when the stream ends, fails or is closed.
+    start = line_base = 0
+    with closing(_Scratch(TEXT_SLICE_BYTES + 1024)) as scratch:
+        try:
+            while start < len(data):
+                stop = data.find(b"\n", start + TEXT_CHUNK_BYTES) + 1 or len(data)
+                arr, lines, skipped = _parse_text_chunk(data, start, stop, line_base, lenient, scratch)
+                _release(data, stop)
+                line_base += lines
+                start = stop
+                yield arr, skipped
+        finally:
+            _unmap(data)
 
 
-def _parse_text_chunk(chunk: mmap.mmap, stop: int, line_base: int, lenient: bool, scratch: _Scratch):
-    """Parse chunk[:stop], which ends in LF; returns (uint32 array, line count, skipped).
+def _parse_text_chunk(chunk: mmap.mmap | bytes, start: int, stop: int, line_base: int, lenient: bool, scratch: _Scratch):
+    """Parse the lines of chunk[start:stop]; returns (uint32 array, line count, skipped).
 
     One loop walks the chunk's slices. A slice ends at the first LF that
     makes it TEXT_SLICE_BYTES long or longer, and is decoded on its own, by
@@ -295,26 +288,23 @@ def _parse_text_chunk(chunk: mmap.mmap, stop: int, line_base: int, lenient: bool
     all its slices; a slice longer than ``scratch.capacity`` goes line by
     line. The result depends only on the bytes, ``line_base`` and ``lenient``.
     """
-    view = memoryview(chunk)
-    # An accepted line is at least "0.0.0.0\n": the records fit stop // 8 + 1
-    # words (a mapping cannot be empty), whose untouched pages cost nothing.
-    # Its own mapping goes with its last view: a freed heap batch would raise
-    # glibc's trim threshold, and heap left resident stays under ssmb's block.
-    out = np.frombuffer(mmap.mmap(-1, 4 * (stop // 8 + 1)), dtype=np.uint32)
-    records = lines = skipped = start = 0
+    # An accepted line is at least "0.0.0.0\n", so the records fit a word per 8 bytes and one. Its own
+    # mapping goes with its last view, and untouched pages cost nothing: a freed heap batch would
+    # raise glibc's trim threshold, and heap left resident stays under ssmb's block.
+    out = np.frombuffer(mmap.mmap(-1, 4 * ((stop - start) // 8 + 1)), dtype=np.uint32)
+    records = lines = skipped = 0
     while start < stop:
         end = chunk.find(b"\n", min(start + TEXT_SLICE_BYTES, stop) - 1, stop) + 1
-        raw = np.frombuffer(view[start:end], dtype=np.uint8)
-        # past the stream's arena, a slice holds a line of over 1 KiB, which the kernel declines
-        fits = raw.size <= scratch.capacity
-        crlf = fits and chunk.find(b"\r", start, end) >= 0
-        # no name holds the CRLF copy: an error's traceback would keep the arena mapped
-        taken = fits and _parse_pure_block(_drop_crlf_crs(raw, scratch) if crlf else raw, scratch, out[records:])
+        if not end:  # the file ends without a line end: end a copy of its last slice
+            chunk, start, stop = chunk[start:stop] + b"\n", 0, stop - start + 1
+            continue
+        taken = _parse_pure_block(chunk, start, end, scratch, out[records:])
         if taken:
             records += taken
             lines += taken
         else:
-            arr, count, dropped = _parse_lines(view[start:end], line_base + lines, lenient)
+            # a copy of the slice, so an error's traceback holds no view of the file's mapping
+            arr, count, dropped = _parse_lines(chunk[start:end], line_base + lines, lenient)
             out[records : records + arr.size] = arr
             records += arr.size
             lines += count
@@ -357,26 +347,29 @@ class _Scratch:
     def close(self) -> None:
         # the views export the mapping's buffer, so they go first
         self.digit = self.dig = self.mask = self.value = self.part = self.text = None
-        try:
-            self._map.close()
-        except BufferError:
-            # a kernel frame on an escaping exception (say MemoryError) still
-            # holds a view; the mapping goes with that traceback
-            pass
+        _unmap(self._map)
 
 
-def _parse_pure_block(raw: np.ndarray, scratch: _Scratch, out: np.ndarray) -> int:
-    """Vectorized decode of any slice of whole lines; returns how many it wrote to the head of ``out``.
+def _parse_pure_block(chunk: mmap.mmap | bytes, start: int, end: int, scratch: _Scratch, out: np.ndarray) -> int:
+    """Vectorized decode of chunk[start:end], whole lines; returns how many it wrote to the head of ``out``.
 
     Classifies each byte as a digit or a separator, finds the separators
     once, and reads the line count off them; then computes the value of
     the part ending at each one from shifted views of the slice's digits.
     Every slice-sized intermediate is written into ``scratch``. Returns 0,
-    leaving ``out`` untouched, unless every line is four dot-separated
-    parts of one to three digits, each at most 255; the caller then parses
-    the slice line by line, which decides what is malformed.
+    leaving ``out`` untouched, unless the slice fits ``scratch`` and every
+    line is four dot-separated parts of one to three digits, each at most
+    255; the caller then parses the slice line by line, which decides what
+    is malformed.
     """
-    size = raw.size
+    size = end - start
+    # past the stream's arena, a slice holds a line of over 1 KiB
+    if size > scratch.capacity:
+        return 0
+    raw = np.frombuffer(chunk, np.uint8, size, start)
+    if chunk.find(b"\r", start, end) >= 0:
+        raw = _drop_crlf_crs(raw, scratch)
+        size = raw.size
     # padded coordinates: raw[i] is at i + 3, after the three untouched leading bytes
     digit, dig, mask = scratch.digit[: size + 3], scratch.dig[: size + 3], scratch.mask[:size]
     np.subtract(raw, np.uint8(_DIGIT0), out=digit[3:])
@@ -414,7 +407,7 @@ def _parse_pure_block(raw: np.ndarray, scratch: _Scratch, out: np.ndarray) -> in
     return lines
 
 
-def _parse_lines(block: memoryview, line_base: int, lenient: bool) -> tuple[np.ndarray, int, int]:
+def _parse_lines(block: bytes, line_base: int, lenient: bool) -> tuple[np.ndarray, int, int]:
     """Parse ``block`` line by line; returns (uint32 array, LF count, skipped)."""
     out = []
     skipped = 0

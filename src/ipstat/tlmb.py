@@ -107,16 +107,11 @@ class TlmbCounter:
         if needed > self._pool.shape[0]:
             # a batch's fresh prefixes arrive at once, so the first batch takes most
             # blocks; twice that leaves later stragglers room without another copy
-            capacity = 2 * needed
-            pool = np.zeros((capacity, BLOCK_SLOTS), dtype=np.uint64)
-            pool[: self._allocated] = self._pool[: self._allocated]
-            self._pool = pool
-            prefixes = np.zeros(capacity, dtype=np.uint32)
-            prefixes[: self._allocated] = self._prefixes[: self._allocated]
-            self._prefixes = prefixes
-            peaks = np.zeros(capacity, dtype=np.uint64)
-            peaks[: self._allocated] = self._peaks[: self._allocated]
-            self._peaks = peaks
+            kept = (self._pool, self._prefixes, self._peaks)
+            grown = [np.zeros((2 * needed, *rows.shape[1:]), rows.dtype) for rows in kept]
+            for rows, old in zip(grown, kept):
+                rows[: self._allocated] = old[: self._allocated]
+            self._pool, self._prefixes, self._peaks = grown
         ordinals = np.arange(self._allocated, needed, dtype=np.uint64)
         self._handles[fresh] = ordinals + 1
         self._prefixes[self._allocated : needed] = (fresh + self._base_prefix).astype(np.uint32)

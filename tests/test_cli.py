@@ -117,6 +117,12 @@ class TestTopk:
         assert run_cli("topk", "--method", "tlmb", "--k", "1", "--input", str(bad)) == 2
         assert "line 2" in capsys.readouterr().err
 
+    def test_empty_binary_input_exits_2_with_one_error_line(self, tmp_path, capsys):
+        empty = tmp_path / "empty.bin"
+        empty.write_bytes(b"")
+        assert run_cli("topk", "--method", "tlmb", "--k", "1", "--input", str(empty), "--format", "binary") == 2
+        assert capsys.readouterr().err == "ipstat: error: missing IPR1 magic header\n"
+
     def test_missing_input_exits_2(self, tmp_path):
         assert run_cli("topk", "--method", "tlmb", "--k", "1", "--input", str(tmp_path / "nope.txt")) == 2
 

@@ -1,11 +1,14 @@
 """Dataset generator: determinism, exact shape, ground truth."""
 
+import dataclasses
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from conftest import oracle_top_k, read_all
+from ipstat import datagen, model
 from ipstat import (
     DatasetSpec,
     GroundTruthMismatch,
@@ -135,6 +138,37 @@ class TestGenerateAndVerify:
         generate(DatasetSpec(records=5000, distinct=100, seed=1), a)
         generate(DatasetSpec(records=5000, distinct=100, seed=2), b)
         assert a.read_bytes() != b.read_bytes()
+
+    @pytest.mark.parametrize("file_format", ["text", "binary"])
+    def test_regenerating_a_file_being_read_leaves_the_reader_its_old_records(self, tmp_path, file_format):
+        spec = DatasetSpec(records=20_000, distinct=300, seed=5, file_format=file_format)
+        path = tmp_path / "d"
+        generate(spec, path)
+        old = read_all(open_stream(path))
+        with mock.patch.object(model, "TEXT_CHUNK_BYTES", 4096), mock.patch.object(model, "BATCH_RECORDS", 1024):
+            batches = open_stream(path).batches()
+            got = [next(batches).copy()]
+            # in place, this truncation would end the reader with SIGBUS
+            generate(dataclasses.replace(spec, seed=6), path)
+            got += [batch.copy() for batch in batches]
+        assert len(got) > 2 and np.array_equal(np.concatenate(got), old)
+        assert not np.array_equal(read_all(open_stream(path)), old)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["d", "d.truth"]
+
+    def test_failed_generate_leaves_the_old_pair_and_no_staged_file(self, tmp_path, monkeypatch):
+        spec = DatasetSpec(records=2000, distinct=30, seed=5)
+        path = tmp_path / "d.txt"
+        generate(spec, path)
+        before = path.read_bytes(), (tmp_path / "d.txt.truth").read_bytes()
+
+        def full_disk(*args):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(datagen, "write_truth", full_disk)
+        with pytest.raises(OSError, match="No space"):
+            generate(dataclasses.replace(spec, seed=6), path)
+        assert (path.read_bytes(), (tmp_path / "d.txt.truth").read_bytes()) == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["d.txt", "d.txt.truth"]
 
     def test_binary_format(self, tmp_path):
         spec = DatasetSpec(records=3000, distinct=50, seed=13, file_format="binary")

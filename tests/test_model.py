@@ -1,7 +1,9 @@
 """Addresses, text/binary record files, and stream sources."""
 
+import mmap
 import sys
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from unittest import mock
@@ -328,6 +330,22 @@ def arenas(monkeypatch):
     return made
 
 
+@pytest.fixture
+def file_maps(monkeypatch):
+    """Every mapping of a record file that the streams of one test make, in order."""
+    made = []
+
+    class RecordedMap(mmap.mmap):
+        def __new__(cls, fileno, *args, **kwargs):
+            mapping = super().__new__(cls, fileno, *args, **kwargs)
+            if fileno != -1:
+                made.append(mapping)
+            return mapping
+
+    monkeypatch.setattr(mmap, "mmap", RecordedMap)
+    return made
+
+
 class TestKernelArena:
     """One scratch arena per text stream, reused by every slice.
 
@@ -364,7 +382,7 @@ class TestKernelArena:
 
                 def kernel():
                     chunk = bytearray(data)
-                    values, seen, skipped = model._parse_text_chunk(chunk, len(data), line_base, lenient, scratch)
+                    values, seen, skipped = model._parse_text_chunk(chunk, 0, len(data), line_base, lenient, scratch)
                     return values.tolist(), seen, skipped
 
                 def per_line():
@@ -402,7 +420,7 @@ class TestKernelArena:
         assert slice_bytes.endswith(long_line)
         assert arena.capacity == 16 + 1024 and arena._map.closed
 
-    def test_streams_read_alternately_keep_their_own_arenas(self, tmp_path, arenas):
+    def test_streams_read_alternately_keep_their_own_arenas(self, tmp_path, arenas, file_maps):
         paths = []
         for name, lines in (("a", _PURE * 8 + b"bad\n" + _PURE), ("b", b"9.8.7.6\r\n" * 9 + b"1.2.3.4 tail\n")):
             paths.append(tmp_path / f"{name}.txt")
@@ -420,8 +438,10 @@ class TestKernelArena:
         assert got == [per_line_reference(path.read_bytes(), True)[0] for path in paths]
         assert len(arenas) == 2 and arenas[0] is not arenas[1]
         assert all(arena._map.closed for arena in arenas)
+        # each stream mapped its file once, and closed it at its end
+        assert len(file_maps) == 2 and all(mapping.closed for mapping in file_maps)
 
-    def test_stream_closed_after_its_first_batch_releases_its_arena(self, tmp_path, arenas):
+    def test_stream_closed_after_its_first_batch_releases_its_arena(self, tmp_path, arenas, file_maps):
         path = tmp_path / "r.txt"
         path.write_bytes(_PURE * 20)
         with mock.patch.object(model, "TEXT_CHUNK_BYTES", 32), mock.patch.object(model, "TEXT_SLICE_BYTES", 8):
@@ -429,12 +449,12 @@ class TestKernelArena:
             batches = stream.batches()
             first = next(batches).tolist()
             assert first == per_line_reference(_PURE * 20, False)[0][: len(first)]
-            assert not arenas[0]._map.closed
+            assert not arenas[0]._map.closed and not file_maps[0].closed
             batches.close()
             del batches, stream
-        assert arenas[0]._map.closed
+        assert arenas[0]._map.closed and file_maps[0].closed
 
-    def test_strict_error_in_a_later_chunk_releases_the_arena(self, tmp_path, arenas):
+    def test_strict_error_in_a_later_chunk_releases_the_arena(self, tmp_path, arenas, file_maps):
         data = _PURE * 10 + b"1.2.3.4\r\n1.2.3.256\n" + _PURE
         path = tmp_path / "bad.txt"
         path.write_bytes(data)
@@ -446,6 +466,54 @@ class TestKernelArena:
         assert (caught.value.line_number, str(caught.value)) == (22, "line 22: part '256' exceeds 255 in '1.2.3.256'")
         assert decode_outcome(lambda: per_line_reference(data, False))[1:] == (22, str(caught.value))
         assert len(arenas) == 1 and arenas[0]._map.closed
+        # the traceback is still alive, and holds no view of the file's mapping
+        assert len(file_maps) == 1 and file_maps[0].closed
+
+
+class TestFileMapping:
+    """Both formats decode from one read-only mapping of the file (text's closing is checked with its arena)."""
+
+    def test_empty_file_is_no_record_as_text_and_a_format_error_as_binary(self, tmp_path, file_maps):
+        path = tmp_path / "empty"
+        path.write_bytes(b"")
+        for fmt in ("auto", "text"):
+            stream = open_stream(path, fmt=fmt)
+            assert list(stream.batches()) == [] and stream.records_read == 0
+        with pytest.raises(BinaryFormatError, match="magic"):
+            list(open_stream(path, fmt="binary").batches())
+        assert file_maps == []
+
+    def test_binary_batches_kept_past_the_stream_read_their_values(self, tmp_path, monkeypatch, file_maps):
+        values = random_addresses(np.random.default_rng(105), 11_000)
+        path = tmp_path / "r.bin"
+        write_binary(path, values)
+        monkeypatch.setattr(model, "BATCH_RECORDS", 2048)  # 8 KiB batches: every one spans released pages
+        batches = list(open_stream(path).batches())
+        assert [batch.size for batch in batches] == [2048] * 5 + [760]
+        assert np.array_equal(np.concatenate(batches), values)
+        for batch in batches:
+            assert batch.dtype == np.uint32 and not batch.flags.writeable
+            with pytest.raises(ValueError):
+                batch[0] = 0
+        # the kept views hold the mapping open past the stream's end, and read the released pages back
+        (mapping,) = file_maps
+        assert not mapping.closed
+
+    def test_binary_decode_allocates_no_batch_buffer(self, tmp_path, monkeypatch):
+        records = 1 << 16
+        path = tmp_path / "r.bin"
+        write_binary(path, np.arange(4 * records, dtype=np.uint32))
+        monkeypatch.setattr(model, "BATCH_RECORDS", records)
+        tracemalloc.start()
+        try:
+            stream = open_stream(path)
+            for batch in stream.batches():
+                assert batch.size == records
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert stream.records_read == 4 * records
+        assert peak < 4 * records, f"{peak} bytes traced while decoding {4 * records}-byte batches"
 
 
 class TestBinaryFormat:
